@@ -31,12 +31,13 @@ process, snapshots are pinned per committed generation, and — with
 LRU result cache.
 
 Sharding is transparent past ``build --shards N``: every other command
-detects ``SHARDS.json`` and routes through
-:class:`~respdi.catalog.sharding.ShardedCatalogStore` /
-:class:`~respdi.service.sharded.ShardedQueryService`, so scripts do not
-care which layout a directory holds (query results are byte-identical
-either way).  A single shard is also a complete plain catalog, so
-``verify``/``query``/``info`` on ``DIR/shard-0003`` work too.
+opens the directory with :func:`~respdi.catalog.sharding.open_catalog`,
+which detects ``SHARDS.json``, and ``query``/``serve`` answer through
+the one :class:`~respdi.service.QueryService`, which serves either
+layout; scripts do not care which layout a directory holds (query
+results are byte-identical either way).  A single shard is also a
+complete plain catalog, so ``verify``/``query``/``info`` on
+``DIR/shard-0003`` work too.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import Optional, Sequence
 
 from respdi.catalog.sharding import (
     ShardedCatalogStore,
-    is_sharded,
     open_catalog,
     reshard,
 )
@@ -446,12 +446,8 @@ def _cmd_query(args) -> int:
 
 def _cmd_serve(args) -> int:
     from respdi.service import QueryService, open_pcache, serve
-    from respdi.service.sharded import ShardedQueryService
 
-    service_cls = (
-        ShardedQueryService if is_sharded(args.directory) else QueryService
-    )
-    service = service_cls(args.directory, cache_size=args.cache_size)
+    service = QueryService(args.directory, cache_size=args.cache_size)
     pcache = None
     if args.pcache or args.pcache_dir is not None:
         pcache = open_pcache(

@@ -32,7 +32,7 @@ fingerprint pinned in ``SHARDS.json``).  That is what makes shard-local
 sketches globally comparable: a scatter-gathered query scores each
 shard's candidates with the same hash family a single unsharded store
 would have used, so merged results can be byte-identical to unsharded
-ones (see :mod:`respdi.service.sharded`).
+ones (see :mod:`respdi.service.service`).
 
 Crash semantics compose from the per-shard commit protocol: each shard
 publishes atomically via its own manifest rename, so a writer killed

@@ -94,8 +94,8 @@ class IngestDaemon:
         self.interval = float(interval)
         if self.interval < 0:
             raise SpecificationError("interval must be >= 0")
-        #: Optional QueryService/ShardedQueryService to eagerly re-pin
-        #: after each applying cycle (the auto-re-pin mode).
+        #: Optional QueryService (plain or sharded catalog) to eagerly
+        #: re-pin after each applying cycle (the auto-re-pin mode).
         self.service = service
         self.cycles = 0
         self._stop = threading.Event()

@@ -188,11 +188,12 @@ class ResponsibleIntegrationPipeline:
         hasher seed keeps this convenience path deterministic).
 
         Alternatively pass ``service=`` (a
-        :class:`~respdi.service.QueryService`) instead of *lake*:
-        discovery then runs against the service's pinned snapshot — one
-        committed catalog generation, consistent even while a writer
-        refreshes — and reuses the service's warm in-memory index
-        instead of re-opening the store."""
+        :class:`~respdi.service.QueryService`, plain or sharded catalog)
+        instead of *lake*: the candidates are then the service's own
+        cached union query against one pinned vector — one committed
+        generation per shard, consistent even while a writer refreshes —
+        and each candidate's table is loaded from the shard that holds
+        it, instead of re-opening the store."""
         if query is None:
             raise SpecificationError("discover_sources needs a query table")
         if service is not None:
@@ -200,19 +201,29 @@ class ResponsibleIntegrationPipeline:
                 raise SpecificationError(
                     "pass either lake or service=, not both"
                 )
-            lake = service.snapshot().index
+            from respdi.service.queries import UnionQuery
+
+            vector = service.snapshot()
+            candidates = service._query_at(
+                UnionQuery(table=query, k=k), vector, cached=True
+            )
+            load_table = vector.table
         elif lake is None:
             raise SpecificationError(
                 "discover_sources needs a lake (index, catalog, or mapping) "
                 "or service="
             )
-        if not isinstance(lake, DataLakeIndex) and hasattr(lake, "index"):
-            lake = lake.index()
-        elif not isinstance(lake, DataLakeIndex) and hasattr(lake, "items"):
-            index = DataLakeIndex(rng=0)
-            index.register_tables(dict(lake), context=self.execution_context)
-            lake = index
-        candidates = lake.unionable_tables(query, k=k)
+        else:
+            if not isinstance(lake, DataLakeIndex) and hasattr(lake, "index"):
+                lake = lake.index()
+            elif not isinstance(lake, DataLakeIndex) and hasattr(lake, "items"):
+                index = DataLakeIndex(rng=0)
+                index.register_tables(
+                    dict(lake), context=self.execution_context
+                )
+                lake = index
+            candidates = lake.unionable_tables(query, k=k)
+            load_table = lake.tables.__getitem__
         out: Dict[str, Table] = {}
         for candidate in candidates:
             if candidate.score < min_score:
@@ -220,7 +231,7 @@ class ResponsibleIntegrationPipeline:
             aligned = dict(candidate.alignment)
             if not all(col in aligned for col in self.sensitive_columns):
                 continue
-            source_table = lake.tables[candidate.table_name]
+            source_table = load_table(candidate.table_name)
             rename = {src: dst for dst, src in aligned.items()}
             out[candidate.table_name] = source_table.rename(rename)
         return out

@@ -1,10 +1,13 @@
 """respdi.service — the concurrent read path over a persisted catalog.
 
 Where :mod:`respdi.catalog` made discovery state durable, this package
-makes it *servable*: a long-lived :class:`QueryService` answers
-keyword / union / join / containment queries from pinned
-:class:`Snapshot` handles (readers see exactly one committed generation,
-even mid-refresh), memoizes results in a bounded LRU keyed by
+makes it *servable*: one long-lived :class:`QueryService` answers
+keyword / union / join / containment / match queries for any catalog,
+plain or sharded.  It pins one :class:`Snapshot` per shard into a
+:class:`ShardVector` (a plain store is its own single shard; readers see
+exactly one committed generation per shard, even mid-refresh), scatters
+each query over the shards and merges the ranked partials
+(:func:`merge_ranked`), memoizes results in a bounded LRU keyed by
 ``(generation, query fingerprint)``, and fans batches out over
 :mod:`respdi.parallel`.  ``respdi-catalog serve`` exposes the same
 machinery as a JSON-lines request loop, and
@@ -21,7 +24,7 @@ server with byte-identical responses.
 Invariant the test suite enforces: a cached answer is byte-identical to
 an uncached one, which is byte-identical to querying a cold
 :class:`~respdi.discovery.lake_index.DataLakeIndex` over the same
-tables.
+tables, whatever the shard count.
 """
 
 from respdi.service.admission import (
@@ -44,16 +47,14 @@ from respdi.service.queries import (
 from respdi.service.server import build_query, handle_request, serve
 from respdi.service.service import (
     QueryService,
+    ShardVector,
     Snapshot,
+    merge_ranked,
     pin_snapshot,
     reset_shared_services,
     shared_service,
 )
-from respdi.service.sharded import (
-    ShardedQueryService,
-    ShardVector,
-    merge_ranked,
-)
+from respdi.service.sharded import ShardedQueryService
 
 __all__ = [
     "AdmissionController",

@@ -3,16 +3,18 @@
 The stdin JSON-lines loop (:func:`respdi.service.server.serve`) serves
 one client; this module serves many, concurrently, over TCP — same
 protocol (one JSON request per line, one JSON response per line), same
-query machinery (shared :class:`QueryService`/:class:`ShardedQueryService`,
-one pinned snapshot per request), so a socket response is byte-identical
-to the stdin response for the same request against the same generation
-(the serve differential suite asserts exactly that).
+query machinery (one shared :class:`~respdi.service.QueryService` for a
+plain or sharded catalog, one pinned shard vector per request), so a
+socket response is byte-identical to the stdin response for the same
+request against the same generation (the serve differential suite
+asserts exactly that).
 
 What the socket path adds on top of the protocol:
 
-* **concurrency** — one handler thread per connection; all threads
-  share the service's snapshot/cache machinery, which is thread-safe by
-  construction (PR 5's concurrency stress).
+* **concurrency** — one handler thread per connection, dropped from
+  the server's bookkeeping when its connection ends; all threads share
+  the service's snapshot/cache machinery, which is thread-safe by
+  construction (the service concurrency stress).
 * **tenancy** — requests may carry ``"tenant": "name"``; an optional
   :class:`~respdi.service.admission.AdmissionController` applies
   per-tenant token-bucket quotas and a global bounded inflight gate.
@@ -153,7 +155,9 @@ class SocketQueryServer:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout)
-        for thread in list(self._handlers):
+        with self._count_lock:
+            handlers = list(self._handlers)
+        for thread in handlers:
             thread.join(timeout)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -182,20 +186,20 @@ class SocketQueryServer:
                 conn, _addr = listener.accept()
             except OSError:
                 break  # listener closed by stop()
-            with self._count_lock:
-                if self._stopping.is_set():
-                    conn.close()
-                    break
-                self.connections_accepted += 1
-                self._conns.append(conn)
-            obs.inc("serve.connections")
             thread = threading.Thread(
                 target=self._handle_connection,
                 args=(conn,),
                 name="respdi-serve-conn",
                 daemon=True,
             )
-            self._handlers.append(thread)
+            with self._count_lock:
+                if self._stopping.is_set():
+                    conn.close()
+                    break
+                self.connections_accepted += 1
+                self._conns.append(conn)
+                self._handlers.append(thread)
+            obs.inc("serve.connections")
             thread.start()
 
     # -- per-connection handling -----------------------------------------------
@@ -231,6 +235,9 @@ class SocketQueryServer:
                     self._conns.remove(conn)
                 except ValueError:
                     pass
+                # A finished handler leaves the list, so it holds only
+                # live connections however many a long-lived server took.
+                self._handlers.remove(threading.current_thread())
 
     def _respond(self, line: str) -> Tuple[Dict[str, Any], bool, bool]:
         """Answer one raw request line; returns ``(response, close?, count?)``."""

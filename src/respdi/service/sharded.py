@@ -1,432 +1,15 @@
-"""Scatter-gather queries over a sharded catalog, byte-identical to unsharded.
+"""Scatter-gather names, importable from this module as well.
 
-:class:`ShardedQueryService` is the read path for
-:class:`~respdi.catalog.sharding.ShardedCatalogStore`: it pins a
-**generation vector** — one committed generation per shard, each an
-ordinary :class:`~respdi.service.service.Snapshot` — as a single
-:class:`ShardVector`, fans each query across the shards, and merges the
-ranked partials deterministically.  The result cache is keyed by the
-*full* vector plus the query fingerprint, so a commit on any shard
-invalidates exactly what it must and nothing else.
-
-The load-bearing property, enforced by ``tests/test_sharded_differential.py``:
-**scatter-gathered results are byte-identical to a single unsharded
-store over the same tables.**  Each query kind earns that differently:
-
-* *keyword* — TF-IDF scores depend on corpus-global document
-  frequencies, so per-shard :class:`~respdi.discovery.keyword.CorpusStats`
-  are merged at pin time and broadcast back; every shard scores its own
-  documents under global IDF (the classic distributed-IR two-phase
-  trick), making shard-local top-k lists globally comparable.
-* *containment* — the LSH Ensemble's cardinality partitioning is a pure,
-  insertion-order-free function of ``{domain: cardinality}``
-  (:func:`~respdi.discovery.lshensemble.partition_max_map`), so the
-  vector recomputes the exact **global** layout from per-shard
-  signatures and each shard scores locally under it
-  (:func:`~respdi.discovery.lshensemble.scatter_containment_hits`).
-* *join* and *union* — per-candidate scores are shard-local facts
-  (exact overlap; query-vs-candidate alignment), so partials are exact
-  as-is.
-
-In every kind the per-candidate score is exactly what the unsharded
-index computes and the rank key is a **total** order (score, then
-name), so the global top-k is contained in the union of per-shard
-top-k lists and :func:`merge_ranked` — a plain sort of the concatenated
-partials — reproduces the unsharded ranking no matter which shard
-answered first (merge-order independence is property-tested).
-
-``shard.gather`` fires before each merge; killing there is read-only by
-construction, which the sharded crash matrix verifies.
+Every catalog — plain or sharded — is served by the one
+:class:`~respdi.service.service.QueryService`, which pins a
+:class:`~respdi.service.service.ShardVector` and merges per-shard
+partials with :func:`~respdi.service.service.merge_ranked`.
+``ShardedQueryService`` is an alias of that class for callers that
+import it under this name.
 """
 
-from __future__ import annotations
+from respdi.service.service import QueryService, merge_ranked
 
-import threading
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+ShardedQueryService = QueryService
 
-from respdi import obs
-from respdi.catalog.sharding import ShardedCatalogStore
-from respdi.discovery.keyword import CorpusStats
-from respdi.discovery.lshensemble import (
-    partition_max_map,
-    scatter_containment_hits,
-)
-from respdi.errors import EmptyInputError, SpecificationError
-from respdi.faults.plan import fault_point
-from respdi.parallel import ExecutionContext, map_chunked
-from respdi.service.cache import QueryResultCache, is_hit, make_key
-from respdi.service.queries import Query
-from respdi.service.service import (
-    Snapshot,
-    _manifest_token,
-    pin_snapshot,
-)
-
-PathLike = Union[str, Path]
-
-#: Rank keys per query kind — total orders (score, then name parts), the
-#: same keys the unsharded sub-indexes sort by.  Totality is what makes
-#: :func:`merge_ranked` independent of shard completion order: no two
-#: distinct results can compare equal (names are unique across shards).
-RANK_KEYS: Dict[str, Callable[[Any], Tuple]] = {
-    "keyword": lambda hit: (-hit.score, hit.table_name),
-    "union": lambda cand: (-cand.score, cand.table_name),
-    "join": lambda cand: (-cand.overlap, cand.table_name, cand.column_name),
-    "containment": lambda item: (-item[1], repr(item[0])),
-}
-
-
-def merge_ranked(
-    partials: Sequence[Sequence[Any]],
-    kind: str,
-    k: Optional[int] = None,
-) -> List[Any]:
-    """Merge per-shard ranked partials into one global ranking.
-
-    A plain total-order sort of the concatenation: because each partial
-    is its shard's top-*k* under the same key, the merged prefix equals
-    the unsharded top-*k*.  Pure and order-insensitive by construction —
-    the property test feeds it the same partials in every permutation.
-    """
-    merged = [item for partial in partials for item in partial]
-    merged.sort(key=RANK_KEYS[kind])
-    return merged if k is None else merged[:k]
-
-
-class ShardVector:
-    """A pinned generation vector plus the merged global query state.
-
-    One immutable :class:`Snapshot` per shard, pinned together; the
-    vector of their generations names one committed state per shard (the
-    cache key component).  The cross-shard state every scatter needs —
-    merged corpus statistics for keyword IDF, the global containment
-    partition layout — is computed once here, at pin time, from the
-    pinned snapshots only, so queries against one vector are mutually
-    consistent even while writers commit on any shard.
-    """
-
-    __slots__ = (
-        "snapshots",
-        "generation",
-        "names",
-        "corpus_stats",
-        "partition_max",
-    )
-
-    def __init__(self, snapshots: Sequence[Snapshot]) -> None:
-        self.snapshots: Tuple[Snapshot, ...] = tuple(snapshots)
-        self.generation: Tuple[int, ...] = tuple(
-            int(snapshot.generation) for snapshot in self.snapshots
-        )
-        self.names: Tuple[str, ...] = tuple(
-            name for snapshot in self.snapshots for name in snapshot.names
-        )
-        self.corpus_stats = CorpusStats.merge(
-            [
-                snapshot.index.keyword.corpus_stats()
-                for snapshot in self.snapshots
-            ]
-        )
-        cardinalities = {
-            key: signature.cardinality
-            for snapshot in self.snapshots
-            for key, signature in snapshot.index.domain_signatures.items()
-        }
-        self.partition_max = (
-            partition_max_map(
-                cardinalities, self.snapshots[0].index.num_partitions
-            )
-            if cardinalities
-            else {}
-        )
-
-    def entry_fingerprints(self) -> Dict[str, str]:
-        """``{table name: content fingerprint}`` across all shards."""
-        merged: Dict[str, str] = {}
-        for snapshot in self.snapshots:
-            merged.update(snapshot.entry_fingerprints())
-        return merged
-
-
-class _ShardScatterTask:
-    """Run one query's shard-local partial (threads-backend task)."""
-
-    __slots__ = ("query", "vector")
-
-    def __init__(self, query: Query, vector: ShardVector):
-        self.query = query
-        self.vector = vector
-
-    def __call__(self, snapshot: Snapshot) -> List[Any]:
-        query, vector = self.query, self.vector
-        if query.kind == "keyword":
-            return snapshot.index.keyword.search(
-                query.text, k=query.k, stats=vector.corpus_stats
-            )
-        if query.kind == "union":
-            return snapshot.index.unionable_tables(query.table, k=query.k)
-        if query.kind == "join":
-            return snapshot.index.joinable_columns(
-                list(query.values), k=query.k, min_overlap=query.min_overlap
-            )
-        if query.kind == "containment":
-            # The query signature is signed per shard with the shard's
-            # own hasher object: every shard's hasher is the same hash
-            # family (fingerprint-pinned in SHARDS.json), so the bytes
-            # are identical, while the per-object hasher_id keeps the
-            # in-memory mixed-hasher guard intact.
-            query_signature = snapshot.index.hasher.signature(
-                list(query.values)
-            )
-            return scatter_containment_hits(
-                snapshot.index.domain_signatures,
-                query_signature,
-                query.threshold,
-                vector.partition_max,
-                query_signature.values.shape[0],
-            )
-        raise SpecificationError(f"unsupported query kind {query.kind!r}")
-
-
-def _eligible_snapshots(query: Query, vector: ShardVector) -> List[Snapshot]:
-    """The shards that participate in *query*, after global validation.
-
-    Validation mirrors the unsharded sub-indexes' checks — same
-    exception types, same messages, same order — but over the union of
-    shards, so an all-empty sharded catalog fails exactly like an empty
-    unsharded one while a merely *partially* empty one skips its empty
-    shards (which contribute nothing to any ranking).
-    """
-    if query.kind in ("keyword", "union"):
-        if query.k < 1:
-            raise SpecificationError("k must be >= 1")
-        eligible = [s for s in vector.snapshots if s.names]
-        if not eligible:
-            raise EmptyInputError("no tables indexed")
-        return eligible
-    if query.kind == "join":
-        if query.k < 1:
-            raise SpecificationError("k must be >= 1")
-        if query.min_overlap < 1:
-            raise SpecificationError("min_overlap must be >= 1")
-        if not set(query.values):
-            raise EmptyInputError("query value set is empty")
-        eligible = [
-            s for s in vector.snapshots if s.index.joinability.num_columns
-        ]
-        if not eligible:
-            raise EmptyInputError("no columns indexed")
-        return eligible
-    if query.kind == "containment":
-        eligible = [s for s in vector.snapshots if s.index.domain_signatures]
-        if not eligible:
-            raise EmptyInputError("no tables registered")
-        return eligible
-    raise SpecificationError(f"unsupported query kind {query.kind!r}")
-
-
-class _BatchQueryTask:
-    """Run one query of a ``query_many`` batch against the pinned vector."""
-
-    __slots__ = ("service", "vector", "cached")
-
-    def __init__(
-        self, service: "ShardedQueryService", vector: ShardVector, cached: bool
-    ) -> None:
-        self.service = service
-        self.vector = vector
-        self.cached = cached
-
-    def __call__(self, query: Query) -> Any:
-        return self.service._query_at(query, self.vector, self.cached)
-
-
-class ShardedQueryService:
-    """Scatter-gather :class:`~respdi.service.service.QueryService` sibling.
-
-    Same surface (``snapshot``/``query``/``query_many``/``stats``, plus
-    the ``_query_at`` hook the serve loop uses), same caching contract —
-    but the snapshot is a :class:`ShardVector` and every miss fans out
-    across shards and merges.  ``respdi-catalog query|serve`` pick this
-    service automatically when the directory holds a ``SHARDS.json``.
-    """
-
-    def __init__(
-        self,
-        store: Union[ShardedCatalogStore, PathLike],
-        cache_size: int = 256,
-        context: Optional[ExecutionContext] = None,
-        n_jobs: Optional[int] = None,
-        max_pin_retries: int = 16,
-    ) -> None:
-        if not isinstance(store, ShardedCatalogStore):
-            store = ShardedCatalogStore.open(store)
-        self.store = store
-        self.cache = QueryResultCache(cache_size)
-        self.max_pin_retries = int(max_pin_retries)
-        #: Context for the scatter and ``query_many`` fan-outs.  Shards
-        #: share the pinned in-memory vector, so threads is the useful
-        #: pool; the default resolves like every other engine call.
-        self.context = ExecutionContext.resolve(context, n_jobs)
-        self._lock = threading.Lock()
-        self._vector: Optional[ShardVector] = None
-        self._tokens: Optional[Tuple] = None
-
-    @property
-    def directory(self) -> Path:
-        return self.store.directory
-
-    # -- snapshot management --------------------------------------------------
-
-    def snapshot(self) -> ShardVector:
-        """The current vector, re-pinned iff *some* shard has committed.
-
-        Freshness is one manifest ``stat`` per shard.  On change, every
-        shard is re-pinned and the merged global state rebuilt — commits
-        are per shard, but the vector is pinned as a unit so a batch
-        never mixes pre- and post-commit views of one shard.
-        """
-        tokens = tuple(
-            _manifest_token(shard.directory) for shard in self.store.shards
-        )
-        with self._lock:
-            if self._vector is not None and tokens == self._tokens:
-                return self._vector
-            vector = ShardVector(
-                [
-                    pin_snapshot(shard, self.max_pin_retries)
-                    for shard in self.store.shards
-                ]
-            )
-            self._vector = vector
-            self._tokens = tokens
-            self.cache.evict_stale_generations(vector.generation)
-            obs.inc("service.shards.pinned")
-            return vector
-
-    def reload(self) -> Tuple[Optional[List[int]], List[int]]:
-        """Re-pin the latest committed generation vector on demand.
-
-        Returns ``(old vector, new vector)`` as lists (None when
-        nothing was pinned yet) — the sharded face of
-        :meth:`~respdi.service.service.QueryService.reload`, with the
-        same drop-the-token semantics so every shard re-reads.
-        """
-        with self._lock:
-            old = list(self._vector.generation) if self._vector else None
-            self._vector = None
-            self._tokens = None
-        vector = self.snapshot()
-        obs.inc("service.reloads")
-        return old, list(vector.generation)
-
-    def committed_generation(self) -> Optional[List[int]]:
-        """The per-shard generations committed on disk right now."""
-        from respdi.catalog.store import read_manifest
-        from respdi.errors import RespdiError
-
-        generations: List[int] = []
-        for shard in self.store.shards:
-            try:
-                manifest = read_manifest(shard.directory)
-            except RespdiError:
-                return None
-            generations.append(int(manifest.get("ensemble_generation", 0)))
-        return generations
-
-    # -- queries --------------------------------------------------------------
-
-    def query(self, query: Query, cached: bool = True) -> Any:
-        """Answer *query* against the current generation vector."""
-        return self._query_at(query, self.snapshot(), cached)
-
-    def _query_at(
-        self, query: Query, vector: ShardVector, cached: bool
-    ) -> Any:
-        use_cache = cached and self.cache.enabled
-        obs.inc("service.queries")
-        with obs.trace(
-            "service.shards.query", kind=query.kind, shards=len(vector.snapshots)
-        ) as span:
-            if use_cache:
-                key = make_key(vector.generation, query.fingerprint)
-                value = self.cache.get(key)
-                if is_hit(value):
-                    span.set_attribute("cache", "hit")
-                    return value
-                span.set_attribute("cache", "miss")
-            result = self._scatter(query, vector)
-            if use_cache:
-                self.cache.put(key, result)
-        return result
-
-    def _scatter(self, query: Query, vector: ShardVector) -> Any:
-        if query.kind == "match":
-            # Matching is a pure function of the request's own table; no
-            # shard holds any of its state, so scatter degenerates to a
-            # single local evaluation (still cached under the vector).
-            return query.run(None)
-        eligible = _eligible_snapshots(query, vector)
-        if query.kind == "containment" and not set(query.values):
-            # Match the unsharded path: signing an empty query set fails
-            # before any shard work is scheduled.
-            raise EmptyInputError("cannot sign an empty set")
-        partials = map_chunked(
-            _ShardScatterTask(query, vector),
-            eligible,
-            context=self.context,
-            label="service.shards.scatter",
-        )
-        fault_point(
-            "shard.gather", kind=query.kind, shards=len(eligible)
-        )
-        return merge_ranked(partials, query.kind, getattr(query, "k", None))
-
-    def query_many(
-        self,
-        queries: Sequence[Query],
-        cached: bool = True,
-        context: Optional[ExecutionContext] = None,
-        n_jobs: Optional[int] = None,
-    ) -> List[Any]:
-        """Answer a batch of queries, all against **one** pinned vector."""
-        queries = list(queries)
-        if not queries:
-            return []
-        vector = self.snapshot()
-        ctx = (
-            ExecutionContext.resolve(context, n_jobs)
-            if (context is not None or n_jobs is not None)
-            else self.context
-        )
-        with obs.trace(
-            "service.shards.query_many",
-            queries=len(queries),
-            shards=len(vector.snapshots),
-        ):
-            return map_chunked(
-                _BatchQueryTask(self, vector, cached),
-                queries,
-                context=ctx,
-                label="service.shards.query_many",
-            )
-
-    # -- introspection --------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """Cache and vector state as plain data (serve's ``stats`` op)."""
-        with self._lock:
-            generation = (
-                list(self._vector.generation) if self._vector else None
-            )
-            entries = len(self._vector.names) if self._vector else None
-        payload: Dict[str, Any] = {
-            "directory": str(self.directory),
-            "shards": self.store.num_shards,
-            "generation": generation,
-            "committed_generation": self.committed_generation(),
-            "entries": entries,
-        }
-        payload.update(self.cache.stats())
-        return payload
+__all__ = ["ShardedQueryService", "merge_ranked"]

@@ -11,6 +11,7 @@ composed report, and byte-identity between socket and stdin responses.
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -387,6 +388,31 @@ def test_max_requests_latches_shutdown(catalog):
     finally:
         server.stop()
     assert server.requests_served == 2
+
+
+def test_finished_handlers_are_dropped_and_live_ones_joined(catalog):
+    server = _start(QueryService(catalog))
+    try:
+        for _ in range(50):
+            (line,) = _ask(server.address, [{"op": "ping"}])
+            assert json.loads(line)["ok"]
+        # Each client closed its socket, so its handler saw EOF and left.
+        deadline = time.monotonic() + 10
+        while server._handlers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.connections_accepted == 50
+        assert server._handlers == []
+
+        with socket.create_connection(server.address, timeout=10) as conn:
+            reader = conn.makefile("r", encoding="utf-8", newline="\n")
+            conn.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline())["ok"]
+            (live,) = server._handlers
+            server.stop()
+            assert not live.is_alive()  # stop() joined the live handler
+            assert server._handlers == []
+    finally:
+        server.stop()
 
 
 def test_cli_serve_over_socket(catalog):

@@ -18,7 +18,7 @@ import pytest
 
 from respdi import QueryService as TopLevelQueryService
 from respdi import obs
-from respdi.catalog import CatalogStore
+from respdi.catalog import CatalogStore, ShardedCatalogStore
 from respdi.errors import (
     RespdiError,
     SnapshotContentionError,
@@ -301,11 +301,20 @@ def test_service_opens_store_from_a_path(tmp_path, store):
 # -- pipeline integration ------------------------------------------------------
 
 
-def test_discover_sources_via_service_matches_lake_path(store, service):
+@pytest.mark.parametrize("num_shards", [None, 2], ids=["plain", "sharded"])
+def test_discover_sources_via_service_matches_lake_path(
+    store, tmp_path, num_shards
+):
+    directory = store.directory
+    if num_shards is not None:
+        directory = tmp_path / "sharded"
+        ShardedCatalogStore.build(
+            directory, TABLES, store_data=True, num_shards=num_shards, **OPTS
+        )
     pipeline = ResponsibleIntegrationPipeline(sensitive_columns=("key",))
     query = _table("a", n=4)
     via_service = pipeline.discover_sources(
-        query=query, service=service, min_score=0.0
+        query=query, service=QueryService(directory), min_score=0.0
     )
     via_lake = pipeline.discover_sources(
         lake=store.index(), query=query, min_score=0.0
