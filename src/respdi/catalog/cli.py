@@ -172,14 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-cache",
         action="store_true",
-        help="compute every request even when a cached result exists",
+        help=(
+            "compute every request even when a cached result exists "
+            "(the same as --cache-size 0)"
+        ),
     )
     serve.add_argument(
         "--max-requests",
         type=int,
         default=None,
         metavar="N",
-        help="exit after N requests (default: serve until EOF/stop)",
+        help="exit after N >= 1 requests (default: serve until EOF/stop)",
     )
     serve.add_argument(
         "--port",
@@ -447,7 +450,8 @@ def _cmd_query(args) -> int:
 def _cmd_serve(args) -> int:
     from respdi.service import QueryService, open_pcache, serve
 
-    service = QueryService(args.directory, cache_size=args.cache_size)
+    cache_size = 0 if args.no_cache else args.cache_size
+    service = QueryService(args.directory, cache_size=cache_size)
     pcache = None
     if args.pcache or args.pcache_dir is not None:
         pcache = open_pcache(
@@ -473,7 +477,6 @@ def _cmd_serve(args) -> int:
             service,
             host=args.host,
             port=args.port,
-            cached=not args.no_cache,
             pcache=pcache,
             admission=admission,
             max_requests=args.max_requests,
@@ -487,7 +490,6 @@ def _cmd_serve(args) -> int:
         service,
         sys.stdin,
         sys.stdout,
-        cached=not args.no_cache,
         max_requests=args.max_requests,
         pcache=pcache,
     )

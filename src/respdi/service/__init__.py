@@ -14,12 +14,13 @@ machinery as a JSON-lines request loop, and
 ``ResponsibleIntegrationPipeline.discover_sources(service=...)`` runs
 pipeline discovery through it.
 
-``respdi-catalog serve --port`` upgrades the loop to a multi-tenant
-socket server (:class:`SocketQueryServer`): per-tenant token-bucket
-quotas and a bounded inflight gate (:class:`AdmissionController`),
-p50/p99 latency ledgers, and an optional crash-safe on-disk result
-cache (:class:`PersistentResultCache`) that warm-starts a restarted
-server with byte-identical responses.
+The loop is one :meth:`SocketQueryServer.serve_stream`, run once over
+stdin/stdout by :func:`serve` and, under ``respdi-catalog serve
+--port``, once per TCP connection of a multi-tenant socket server:
+per-tenant token-bucket quotas and a bounded inflight gate
+(:class:`AdmissionController`), p50/p99 latency histograms, and an
+optional crash-safe on-disk result cache (:class:`PersistentResultCache`)
+that warm-starts a restarted server with byte-identical responses.
 
 Invariant the test suite enforces: a cached answer is byte-identical to
 an uncached one, which is byte-identical to querying a cold
@@ -29,12 +30,11 @@ tables, whatever the shard count.
 
 from respdi.service.admission import (
     AdmissionController,
-    LatencyLedger,
     TokenBucket,
     parse_quota_specs,
 )
 from respdi.service.cache import QueryResultCache
-from respdi.service.netserver import SocketQueryServer
+from respdi.service.netserver import SocketQueryServer, serve
 from respdi.service.pcache import PersistentResultCache, open_pcache
 from respdi.service.queries import (
     ContainmentQuery,
@@ -44,7 +44,7 @@ from respdi.service.queries import (
     Query,
     UnionQuery,
 )
-from respdi.service.server import build_query, handle_request, serve
+from respdi.service.server import build_query, handle_request
 from respdi.service.service import (
     QueryService,
     ShardVector,
@@ -61,7 +61,6 @@ __all__ = [
     "ContainmentQuery",
     "JoinQuery",
     "KeywordQuery",
-    "LatencyLedger",
     "MatchQuery",
     "PersistentResultCache",
     "Query",

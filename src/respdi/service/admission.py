@@ -1,4 +1,4 @@
-"""Admission control for the serve path: quotas, backpressure, latency.
+"""Admission control for the serve path: quotas and backpressure.
 
 A serve loop that accepts every request collapses under overload — the
 irresponsible failure mode for infrastructure meant to face millions of
@@ -17,9 +17,6 @@ This module makes overload a structured, per-tenant outcome instead:
   an unbounded thread pile-up.  Rejected requests get
   ``{"error": "overloaded", "retry_after_ms": ...}`` — load *shedding*,
   not load collapsing.
-* :class:`LatencyLedger` — bounded per-key latency samples with
-  p50/p99, kept locally (the ``stats`` op works without global
-  instrumentation) and mirrored to :mod:`respdi.obs` histograms.
 
 The accounting invariant the stress suite enforces per tenant and
 globally: ``admitted + rejected == received`` — no request is ever
@@ -328,70 +325,3 @@ def parse_quota_specs(
         quotas[tenant] = (rate, burst)
     return quotas
 
-
-class LatencyLedger:
-    """Bounded per-key latency samples with percentile summaries.
-
-    Keeps the most recent *window* observations per key (a ring buffer:
-    a long-running server reports *current* latency, not its lifetime
-    average) and computes percentiles by the nearest-rank method.  Each
-    observation is also mirrored to the global obs registry as
-    ``serve.latency.<key>.seconds`` so ``respdi-audit --metrics`` can
-    render the same numbers.
-    """
-
-    def __init__(self, window: int = 2048) -> None:
-        if window < 1:
-            raise SpecificationError("latency window must be >= 1")
-        self.window = int(window)
-        self._lock = threading.Lock()
-        self._samples: Dict[str, List[float]] = {}
-        self._next: Dict[str, int] = {}
-        self._counts: Dict[str, int] = {}
-
-    def observe(self, key: str, seconds: float) -> None:
-        seconds = float(seconds)
-        with self._lock:
-            samples = self._samples.get(key)
-            if samples is None:
-                samples = self._samples[key] = []
-                self._next[key] = 0
-                self._counts[key] = 0
-            if len(samples) < self.window:
-                samples.append(seconds)
-            else:
-                samples[self._next[key]] = seconds
-                self._next[key] = (self._next[key] + 1) % self.window
-            self._counts[key] += 1
-        obs.observe(f"serve.latency.{key}.seconds", seconds)
-
-    def percentile(self, key: str, q: float) -> float:
-        """Nearest-rank percentile of the key's current window (0 if empty)."""
-        with self._lock:
-            samples = sorted(self._samples.get(key, ()))
-        if not samples:
-            return 0.0
-        rank = max(1, math.ceil((q / 100.0) * len(samples)))
-        return samples[rank - 1]
-
-    def summary(self, key: str) -> Dict[str, float]:
-        with self._lock:
-            samples = sorted(self._samples.get(key, ()))
-            count = self._counts.get(key, 0)
-        if not samples:
-            return {"count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}
-
-        def rank(q: float) -> float:
-            return samples[max(1, math.ceil((q / 100.0) * len(samples))) - 1]
-
-        return {
-            "count": count,
-            "p50": rank(50.0),
-            "p99": rank(99.0),
-            "max": samples[-1],
-        }
-
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            keys = sorted(self._samples)
-        return {key: self.summary(key) for key in keys}

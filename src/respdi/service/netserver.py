@@ -1,37 +1,40 @@
-"""``respdi-catalog serve --port``: a threaded multi-tenant socket server.
+"""``respdi-catalog serve``: one JSON-lines request loop, over stdin or TCP.
 
-The stdin JSON-lines loop (:func:`respdi.service.server.serve`) serves
-one client; this module serves many, concurrently, over TCP — same
-protocol (one JSON request per line, one JSON response per line), same
-query machinery (one shared :class:`~respdi.service.QueryService` for a
-plain or sharded catalog, one pinned shard vector per request), so a
-socket response is byte-identical to the stdin response for the same
-request against the same generation (the serve differential suite
-asserts exactly that).
+:meth:`SocketQueryServer.serve_stream` is the only loop that reads
+request lines (one JSON request per line, one JSON response per line)
+and :meth:`SocketQueryServer._respond` the only code that parses them.
+``--port`` runs the loop once per TCP connection; :func:`serve` runs it
+once over stdin/stdout on a server that never binds a port.  Both
+transports thus answer, count and time a request alike, and a socket
+response is byte-identical to the stdin response for the same request
+against the same generation (the serve differential suite asserts it).
+Parsed requests are answered by :func:`~respdi.service.server.handle_request`.
 
-What the socket path adds on top of the protocol:
+Around it the loop adds:
 
-* **concurrency** — one handler thread per connection, dropped from
-  the server's bookkeeping when its connection ends; all threads share
-  the service's snapshot/cache machinery, which is thread-safe by
-  construction (the service concurrency stress).
+* **in-band errors** — a malformed line (bad JSON, nesting past the
+  recursion limit, an unknown op) or one longer than
+  :data:`MAX_REQUEST_CHARS` gets ``{"ok": false, "error": ...}``, and
+  the loop keeps serving.
 * **tenancy** — requests may carry ``"tenant": "name"``; an optional
   :class:`~respdi.service.admission.AdmissionController` applies
-  per-tenant token-bucket quotas and a global bounded inflight gate.
-  Shed requests get ``{"ok": false, "error": "overloaded",
-  "retry_after_ms": ...}`` *in-band* — the connection stays usable, the
-  server stays responsive, other tenants keep their latency.  ``ping``
-  and ``stats`` bypass admission so health checks always answer.
-* **observability** — per-kind and per-tenant latency ledgers with
-  p50/p99 (mirrored to ``serve.latency.*`` obs histograms), request
-  counters, and a ``stats`` op that reports admission ledgers, latency
-  summaries, and cache tiers without any process-internal access.
+  per-tenant token-bucket quotas and a global bounded inflight gate,
+  shedding *in-band* with ``{"ok": false, "error": "overloaded",
+  "retry_after_ms": ...}``.  ``ping`` and ``stats`` bypass admission so
+  health checks always answer.
+* **observability** — per-kind and per-tenant latency histograms in a
+  private, always-on :class:`~respdi.obs.MetricsRegistry` (mirrored to
+  ``serve.latency.*`` obs histograms), request counters, and a ``stats``
+  op that adds server, latency and admission sections to the service
+  and cache-tier stats.
 * an optional **persistent cache tier**
   (:class:`~respdi.service.pcache.PersistentResultCache`) shared by all
   connections, so a restarted server warm-starts from disk.
 
-The server binds ``127.0.0.1`` by default: this is a backend service;
-exposing it wider is an explicit operator decision (``--host``).
+Over TCP each connection gets its own handler thread, dropped from the
+server's bookkeeping when the connection ends; all share the service's
+thread-safe snapshot/cache machinery.  The server binds ``127.0.0.1`` by
+default: exposing it wider is an explicit operator decision (``--host``).
 """
 
 from __future__ import annotations
@@ -40,33 +43,41 @@ import json
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from respdi import obs
-from respdi.errors import RespdiError
+from respdi.errors import RespdiError, SpecificationError
 from respdi.faults.plan import fault_point
-from respdi.service.admission import (
-    DEFAULT_TENANT,
-    AdmissionController,
-    LatencyLedger,
-)
+from respdi.service.admission import DEFAULT_TENANT, AdmissionController
 from respdi.service.pcache import PersistentResultCache
 from respdi.service.server import handle_request
 
 #: Ops that never pass through admission control: operators must always
 #: be able to health-check and read counters, throttled tenants included
 #: (a quota that silences ``stats`` would hide the very overload it
-#: causes).  ``stop`` only ends its own connection.
-UNGATED_OPS = frozenset({"ping", "stats", "stop"})
+#: causes).  ``stop`` only ends its own connection.  A tuple, not a set:
+#: ``op`` may be any JSON value, and a list cannot be hashed.
+UNGATED_OPS = ("ping", "stats", "stop")
+
+#: Longest request line answered, in characters (newline excluded); the
+#: loop never buffers more than one character past it.
+MAX_REQUEST_CHARS = 1 << 20
+
+
+def _error(exc: Exception) -> Dict[str, Any]:
+    """The in-band answer to a request that failed with *exc*."""
+    return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 class SocketQueryServer:
-    """A threaded JSON-lines query server over one query service.
+    """A JSON-lines query server over one query service.
 
-    One accept loop, one handler thread per connection, all sharing
-    *service* (and, when given, *pcache* and *admission*).  ``port=0``
-    binds an ephemeral port — :meth:`start` returns the bound address,
-    which is how tests and benchmarks avoid port races.
+    :meth:`serve_stream` answers one stream of request lines.  Over TCP
+    (:meth:`start`) one accept loop hands each connection to its own
+    handler thread running it, all sharing *service* (and, when given,
+    *pcache* and *admission*).  ``port=0`` binds an ephemeral port —
+    :meth:`start` returns the bound address, which is how tests and
+    benchmarks avoid port races.
     """
 
     def __init__(
@@ -74,22 +85,23 @@ class SocketQueryServer:
         service: Any,
         host: str = "127.0.0.1",
         port: int = 0,
-        cached: bool = True,
         pcache: Optional[PersistentResultCache] = None,
         admission: Optional[AdmissionController] = None,
-        latency: Optional[LatencyLedger] = None,
         max_requests: Optional[int] = None,
     ) -> None:
+        if max_requests is not None and max_requests < 1:
+            raise SpecificationError("max_requests must be >= 1 (or None)")
         self.service = service
         self.host = host
         self.port = int(port)
-        self.cached = cached
         self.pcache = pcache
         self.admission = admission
-        self.latency = latency if latency is not None else LatencyLedger()
         self.max_requests = max_requests
         self.requests_served = 0
         self.connections_accepted = 0
+        #: Per-kind and per-tenant latency histograms, kept whether or
+        #: not global observability is on, so ``stats`` always has them.
+        self._latency = obs.MetricsRegistry()
         self._count_lock = threading.Lock()
         self._stopping = threading.Event()
         self._listener: Optional[socket.socket] = None
@@ -202,27 +214,14 @@ class SocketQueryServer:
             obs.inc("serve.connections")
             thread.start()
 
-    # -- per-connection handling -----------------------------------------------
+    # -- the request loop ------------------------------------------------------
 
     def _handle_connection(self, conn: socket.socket) -> None:
         try:
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
-            writer = conn.makefile("w", encoding="utf-8", newline="\n")
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                response, last, counted = self._respond(line)
-                writer.write(json.dumps(response) + "\n")
-                writer.flush()
-                # Count (and possibly trip the max_requests stop latch)
-                # only AFTER the response is flushed: the latch wakes
-                # stop(), which closes connections, and winning that
-                # race against our own write would eat the response.
-                if counted and self._count_request():
-                    break
-                if last or self._stopping.is_set():
-                    break
+            self.serve_stream(
+                conn.makefile("r", encoding="utf-8", newline="\n"),
+                conn.makefile("w", encoding="utf-8", newline="\n"),
+            )
         except (OSError, ValueError):
             pass  # client went away mid-write; nothing to salvage
         finally:
@@ -239,52 +238,78 @@ class SocketQueryServer:
                 # live connections however many a long-lived server took.
                 self._handlers.remove(threading.current_thread())
 
-    def _respond(self, line: str) -> Tuple[Dict[str, Any], bool, bool]:
-        """Answer one raw request line; returns ``(response, close?, count?)``."""
+    def serve_stream(self, reader: TextIO, writer: TextIO) -> None:
+        """Answer request lines from *reader* on *writer*, one line each.
+
+        Runs until EOF, a ``stop`` request, or the server stopping (the
+        ``max_requests`` latch or :meth:`stop`).  Per-request failures
+        are answered in-band; only stream-level failures (a closed pipe,
+        a reset socket) propagate.
+        """
+        while not self._stopping.is_set():
+            line = reader.readline(MAX_REQUEST_CHARS + 1)
+            if not line:
+                return
+            if len(line) > MAX_REQUEST_CHARS and not line.endswith("\n"):
+                # Skip the rest of the line in reads of the same bound.
+                while line and not line.endswith("\n"):
+                    line = reader.readline(MAX_REQUEST_CHARS + 1)
+                too_long = RespdiError(
+                    f"request line exceeds {MAX_REQUEST_CHARS} characters"
+                )
+                response, last = _error(too_long), False
+            else:
+                line = line.strip()
+                if not line:
+                    continue
+                response, last = self._respond(line)
+            writer.write(json.dumps(response) + "\n")
+            writer.flush()
+            # Count (and possibly trip the max_requests stop latch) only
+            # AFTER the response is flushed: the latch wakes stop(), which
+            # closes connections, and winning that race against our own
+            # write would eat the response.
+            if self._count_request() or last:
+                return
+
+    def _respond(self, line: str) -> Tuple[Dict[str, Any], bool]:
+        """Answer one raw request line; returns ``(response, last?)``."""
         try:
             request = json.loads(line)
             if not isinstance(request, dict):
                 raise RespdiError("request must be a JSON object")
-        except (RespdiError, ValueError) as exc:
-            return (
-                {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
-                False,
-                False,
-            )
+            op = request.get("op")
+            if op == "stop":
+                return {"ok": True, "op": "stop"}, True
+            if op == "stats":
+                return self._stats(request), False
+            return self._answer(request, op), False
+        except (RespdiError, OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+            # json.loads raises RecursionError on nesting past the interpreter's limit.
+            return _error(exc), False
 
-        op = request.get("op")
+    def _answer(self, request: Dict[str, Any], op: Any) -> Dict[str, Any]:
+        """Admit, answer and time one request other than ``stats``/``stop``."""
         tenant = str(request.get("tenant", DEFAULT_TENANT))
-        if op == "stop":
-            return {"ok": True, "op": "stop"}, True, False
-        if op == "stats":
-            return self._stats_response(), False, False
-
+        gated = op not in UNGATED_OPS
         ticket = None
-        if self.admission is not None and op not in UNGATED_OPS:
+        if self.admission is not None and gated:
             ticket = self.admission.admit(tenant)
             if not ticket:
-                return ticket.rejection(), False, False
+                return ticket.rejection()
         start = time.perf_counter()
         try:
-            if ticket is not None:
-                with ticket:
-                    response = handle_request(
-                        self.service, request, cached=self.cached,
-                        pcache=self.pcache,
-                    )
-            else:
-                response = handle_request(
-                    self.service, request, cached=self.cached,
-                    pcache=self.pcache,
-                )
-        except (RespdiError, OSError, ValueError, KeyError, TypeError) as exc:
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        elapsed = time.perf_counter() - start
-        if op is not None and op not in UNGATED_OPS:
-            self.latency.observe(f"kind.{op}", elapsed)
-            self.latency.observe(f"tenant.{tenant}", elapsed)
-        obs.inc("serve.requests")
-        return response, False, True
+            if ticket is None:
+                return handle_request(self.service, request, pcache=self.pcache)
+            with ticket:
+                return handle_request(self.service, request, pcache=self.pcache)
+        finally:
+            if op is not None and gated:
+                elapsed = time.perf_counter() - start
+                for key in (f"kind.{op}", f"tenant.{tenant}"):
+                    self._latency.observe(key, elapsed)
+                    obs.observe(f"serve.latency.{key}.seconds", elapsed)
+            obs.inc("serve.requests")
 
     def _count_request(self) -> bool:
         """Count one served request; trip the stop latch at max_requests."""
@@ -303,15 +328,35 @@ class SocketQueryServer:
 
     # -- introspection ---------------------------------------------------------
 
-    def _stats_response(self) -> Dict[str, Any]:
-        stats = self.service.stats()
+    def _stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """``handle_request``'s service and pcache stats, plus the server's."""
+        response = handle_request(self.service, request, pcache=self.pcache)
+        stats = response["stats"]
         stats["server"] = {
             "connections_accepted": self.connections_accepted,
             "requests_served": self.requests_served,
         }
-        stats["latency"] = self.latency.stats()
+        stats["latency"] = self._latency.snapshot()["histograms"]
         if self.admission is not None:
             stats["admission"] = self.admission.stats()
-        if self.pcache is not None:
-            stats["pcache"] = self.pcache.stats()
-        return {"ok": True, "op": "stats", "stats": stats}
+        return response
+
+
+def serve(
+    service: Any,
+    input_stream: TextIO,
+    output_stream: TextIO,
+    max_requests: Optional[int] = None,
+    pcache: Optional[PersistentResultCache] = None,
+) -> int:
+    """Answer request lines until EOF, ``stop``, or *max_requests*.
+
+    The stdin transport of ``respdi-catalog serve``: one run of
+    :meth:`SocketQueryServer.serve_stream` over *input_stream* and
+    *output_stream*, on a server that never binds a port.  Returns the
+    number of requests served.
+    """
+    fault_point("service.serve.start", directory=str(service.directory))
+    server = SocketQueryServer(service, pcache=pcache, max_requests=max_requests)
+    server.serve_stream(input_stream, output_stream)
+    return server.requests_served

@@ -1,12 +1,13 @@
-"""``respdi-catalog serve`` — a long-lived JSON-lines query server.
+"""Answer one parsed ``respdi-catalog serve`` request.
 
-The transport is deliberately the simplest thing that makes the catalog
-a *service* instead of a one-shot command: one JSON request per input
-line, one JSON response per output line, over any pair of file-like
-streams (stdin/stdout from the CLI, ``io.StringIO`` in tests, a socket
-file if a caller wants one).  The store is opened once at startup and
-every request is answered through the shared :class:`QueryService`
-machinery — pinned snapshots, generation-keyed cache, obs counters.
+:func:`build_query` turns a request object into a fingerprintable
+:class:`~respdi.service.queries.Query`, and :func:`handle_request`
+answers it through the shared :class:`QueryService` machinery — pinned
+snapshots, generation-keyed cache, obs counters, and optionally the
+persistent result cache.  Reading, parsing, counting and framing request
+lines is the job of the one request loop,
+:meth:`respdi.service.netserver.SocketQueryServer.serve_stream`, which
+serves both stdin (:func:`respdi.service.serve`) and TCP connections.
 
 Request ops::
 
@@ -20,21 +21,19 @@ Request ops::
     {"op": "stats"}      # cache/snapshot counters
     {"op": "reload"}     # re-pin the latest committed generation
     {"op": "ping"}
-    {"op": "stop"}       # drain and exit the loop
+    {"op": "stop"}       # handled by the loop: drain and end the stream
 
 Every response carries ``ok`` plus either the rendered ``results`` and
-the ``generation`` they were computed against, or an ``error`` string —
-a malformed request never kills the server.  Responses render through
-:meth:`respdi.service.queries.Query.render`, so their bytes are a
-deterministic function of (catalog generation, request): the
-differential suite compares served lines across backends and
-``PYTHONHASHSEED`` values directly.
+the ``generation`` they were computed against, or an ``error`` string.
+Responses render through :meth:`respdi.service.queries.Query.render`,
+so their bytes are a deterministic function of (catalog generation,
+request): the differential suite compares served lines across backends
+and ``PYTHONHASHSEED`` values directly.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Dict, Optional
 
 from respdi.errors import RespdiError
 from respdi.faults.plan import fault_point
@@ -103,7 +102,9 @@ def handle_request(
     cached: bool = True,
     pcache: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Answer one already-parsed request; exceptions become error payloads.
+    """Answer one already-parsed request.
+
+    A failing request raises; the request loop answers it in-band.
 
     With *pcache* (a :class:`~respdi.service.pcache.PersistentResultCache`),
     query results are additionally served from — and stored to — the
@@ -156,46 +157,3 @@ def handle_request(
         "results": rendered,
     }
 
-
-def serve(
-    service: QueryService,
-    input_stream: TextIO,
-    output_stream: TextIO,
-    cached: bool = True,
-    max_requests: Optional[int] = None,
-    pcache: Optional[Any] = None,
-) -> int:
-    """Run the request/response loop until EOF, ``stop``, or *max_requests*.
-
-    Returns the number of requests served.  Per-request failures (bad
-    JSON, unknown op, missing CSV, ...) are reported in-band and the
-    loop keeps serving; only stream-level failures propagate.
-    """
-    fault_point("service.serve.start", directory=str(service.directory))
-    served = 0
-    for line in input_stream:
-        line = line.strip()
-        if not line:
-            continue
-        if max_requests is not None and served >= max_requests:
-            break
-        served += 1
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise RespdiError("request must be a JSON object")
-            if request.get("op") == "stop":
-                response: Dict[str, Any] = {"ok": True, "op": "stop"}
-                output_stream.write(json.dumps(response) + "\n")
-                output_stream.flush()
-                break
-            response = handle_request(
-                service, request, cached=cached, pcache=pcache
-            )
-        except (RespdiError, OSError, ValueError, KeyError, TypeError) as exc:
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        output_stream.write(json.dumps(response) + "\n")
-        output_stream.flush()
-        if max_requests is not None and served >= max_requests:
-            break
-    return served

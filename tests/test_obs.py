@@ -12,6 +12,7 @@ from respdi.cli import main as cli_main
 from respdi.datagen import make_source_tables, skewed_group_distributions
 from respdi.discovery.minhash import MinHasher
 from respdi.obs import (
+    Histogram,
     InMemoryExporter,
     JsonLinesExporter,
     MetricsRegistry,
@@ -99,6 +100,34 @@ def test_registry_concurrent_increments_are_exact():
         t.join()
     assert registry.counter_value("hits") == threads_n * per_thread
     assert registry.histogram_summary("vals")["count"] == threads_n * per_thread
+
+
+def test_histogram_percentiles_nearest_rank():
+    histogram = Histogram("kind.keyword")
+    for ms in range(1, 101):  # 1..100 ms
+        histogram.observe(ms / 1000.0)
+    assert histogram.percentile(50.0) == pytest.approx(0.050)
+    assert histogram.percentile(99.0) == pytest.approx(0.099)
+    # Nearest rank is ceil(q/100 * n): p7 of 100 samples is the 7th.
+    assert histogram.percentile(7.0) == pytest.approx(0.007)
+    summary = histogram.summary()
+    assert summary["count"] == 100 and summary["max"] == pytest.approx(0.100)
+
+
+def test_histogram_window_is_bounded_and_recent():
+    histogram = Histogram("k")
+    window = Histogram.WINDOW_SIZE
+    for value in [9.0] * window + [1.0] * window:
+        histogram.observe(value)
+    assert histogram.percentile(99.0) == 1.0  # the 9s aged out
+    assert histogram.summary()["count"] == 2 * window  # lifetime count
+
+
+def test_histogram_empty_is_zeroes():
+    assert Histogram("nothing").summary() == {
+        "count": 0, "total": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0,
+        "p50": 0.0, "p99": 0.0,
+    }
 
 
 def test_module_helpers_are_noops_while_disabled():

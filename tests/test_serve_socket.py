@@ -1,8 +1,8 @@
 """Socket serve path and admission control unit coverage.
 
 Admission first, deterministically (token buckets on a fake clock, the
-ledger invariant, the inflight gate, quota-spec parsing, the latency
-ledger's percentiles), then the threaded socket server end to end:
+ledger invariant, the inflight gate, quota-spec parsing), then the
+threaded socket server end to end:
 concurrent clients, in-band errors, tenant quotas shedding load with
 honest ``retry_after_ms`` hints, ungated health ops, the ``stats`` op's
 composed report, and byte-identity between socket and stdin responses.
@@ -19,7 +19,6 @@ from respdi.catalog import CatalogStore
 from respdi.errors import SpecificationError
 from respdi.service import (
     AdmissionController,
-    LatencyLedger,
     QueryService,
     SocketQueryServer,
     TokenBucket,
@@ -179,34 +178,6 @@ def test_parse_quota_specs():
         parse_quota_specs(["no-equals"])
     with pytest.raises(SpecificationError):
         parse_quota_specs(["t=fast"])
-
-
-# -- latency ledger ------------------------------------------------------------
-
-
-def test_latency_percentiles_nearest_rank():
-    ledger = LatencyLedger()
-    for ms in range(1, 101):  # 1..100 ms
-        ledger.observe("kind.keyword", ms / 1000.0)
-    assert ledger.percentile("kind.keyword", 50.0) == pytest.approx(0.050)
-    assert ledger.percentile("kind.keyword", 99.0) == pytest.approx(0.099)
-    summary = ledger.summary("kind.keyword")
-    assert summary["count"] == 100 and summary["max"] == pytest.approx(0.100)
-
-
-def test_latency_window_is_bounded_and_recent():
-    ledger = LatencyLedger(window=4)
-    for value in (9.0, 9.0, 9.0, 9.0, 1.0, 1.0, 1.0, 1.0):
-        ledger.observe("k", value)
-    assert ledger.summary("k")["max"] == 1.0  # the 9s aged out
-    assert ledger.summary("k")["count"] == 8  # lifetime count still honest
-
-
-def test_latency_empty_key_is_zeroes():
-    ledger = LatencyLedger()
-    assert ledger.summary("nothing") == {
-        "count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0,
-    }
 
 
 # -- the socket server ---------------------------------------------------------
