@@ -3,7 +3,8 @@
 Three pieces, stdlib-only:
 
 * :mod:`respdi.obs.metrics` — a lock-safe :class:`MetricsRegistry` of
-  counters, gauges, and histogram timers with a process-global instance;
+  counters, gauges, and histogram timers with a process-global instance
+  (and the always-on :class:`ComponentRegistry` a component owns);
 * :mod:`respdi.obs.tracing` — hierarchical :func:`trace` spans with
   pluggable exporters (in-memory ring buffer, JSON-lines file);
 * :mod:`respdi.obs.instrument` — ``@timed`` / ``@counted`` decorators
@@ -28,6 +29,7 @@ from __future__ import annotations
 from respdi.obs._state import disable, enable, is_enabled
 from respdi.obs.instrument import counted, timed
 from respdi.obs.metrics import (
+    ComponentRegistry,
     Counter,
     Gauge,
     Histogram,
@@ -58,6 +60,7 @@ def reset() -> None:
 
 
 __all__ = [
+    "ComponentRegistry",
     "Counter",
     "Gauge",
     "Histogram",

@@ -166,6 +166,10 @@ class MetricsRegistry:
             counter = self._counters.get(name)
             return counter.value if counter else 0.0
 
+    def count(self, name: str) -> int:
+        """A counter of whole events as an int (0 if never incremented)."""
+        return int(self.counter_value(name))
+
     def gauge_value(self, name: str) -> float:
         with self._lock:
             gauge = self._gauges.get(name)
@@ -202,6 +206,25 @@ _GLOBAL_REGISTRY = MetricsRegistry()
 def global_registry() -> MetricsRegistry:
     """The process-global registry the instrumentation helpers write to."""
     return _GLOBAL_REGISTRY
+
+
+class ComponentRegistry(MetricsRegistry):
+    """The always-on registry one component owns and its ``stats`` reads.
+
+    While observability is enabled every count and observation also
+    lands on the global registry under the same name, so ``stats`` and
+    ``respdi-audit --metrics`` read the same numbers from one store.
+    """
+
+    def inc(self, name: str, amount: float = 1.0) -> None:
+        MetricsRegistry.inc(self, name, amount)
+        if _state.enabled:
+            _GLOBAL_REGISTRY.inc(name, amount)
+
+    def observe(self, name: str, value: float) -> None:
+        MetricsRegistry.observe(self, name, value)
+        if _state.enabled:
+            _GLOBAL_REGISTRY.observe(name, value)
 
 
 # -- guarded helpers for instrumentation sites --------------------------------

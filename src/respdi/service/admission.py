@@ -18,9 +18,12 @@ This module makes overload a structured, per-tenant outcome instead:
   ``{"error": "overloaded", "retry_after_ms": ...}`` — load *shedding*,
   not load collapsing.
 
-The accounting invariant the stress suite enforces per tenant and
-globally: ``admitted + rejected == received`` — no request is ever
-silently dropped or double-counted, whatever the interleaving.
+Each decision is counted once, as ``serve.<outcome>`` and
+``serve.tenant.<name>.<outcome>``, in the controller's always-on
+:class:`~respdi.obs.ComponentRegistry`.  ``received`` is derived as the
+sum of the outcomes, so the invariant the stress suite enforces per
+tenant and globally, ``admitted + rejected == received``, holds by
+construction, whatever the interleaving.
 
 Time is injectable (``clock=``) so quota behavior is deterministic
 under test; production uses ``time.monotonic``.
@@ -189,15 +192,9 @@ class AdmissionController:
         self._buckets: Dict[str, TokenBucket] = {}
         for tenant, (rate, burst) in (quotas or {}).items():
             self._buckets[tenant] = TokenBucket(rate, burst, clock)
-        self._configured = set(self._buckets)
         self._inflight = 0
         self.peak_inflight = 0
-        #: Per-tenant ledgers: every received request lands in exactly
-        #: one of admitted / rejected_quota / rejected_inflight.
-        self.received: Dict[str, int] = {}
-        self.admitted: Dict[str, int] = {}
-        self.rejected_quota: Dict[str, int] = {}
-        self.rejected_inflight: Dict[str, int] = {}
+        self.metrics = obs.ComponentRegistry()
 
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -216,42 +213,33 @@ class AdmissionController:
         leaving the shared slots to tenants within their quotas.
         """
         with self._lock:
-            self.received[tenant] = self.received.get(tenant, 0) + 1
             bucket = self._bucket(tenant)
         admitted, retry_after = bucket.try_take()
         if not admitted:
-            with self._lock:
-                self.rejected_quota[tenant] = (
-                    self.rejected_quota.get(tenant, 0) + 1
-                )
-            obs.inc("serve.rejected.quota")
-            obs.inc(f"serve.tenant.{tenant}.rejected")
+            self._count(tenant, "rejected.quota")
             return Admission(
                 False, tenant, reason="quota", retry_after=retry_after
             )
         with self._lock:
-            if self._inflight >= self.max_inflight:
-                self.rejected_inflight[tenant] = (
-                    self.rejected_inflight.get(tenant, 0) + 1
-                )
-                full = True
-            else:
+            full = self._inflight >= self.max_inflight
+            if not full:
                 self._inflight += 1
                 self.peak_inflight = max(self.peak_inflight, self._inflight)
-                self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
-                full = False
         if full:
-            obs.inc("serve.rejected.inflight")
-            obs.inc(f"serve.tenant.{tenant}.rejected")
+            self._count(tenant, "rejected.inflight")
             return Admission(
                 False,
                 tenant,
                 reason="inflight",
                 retry_after=self.inflight_retry_after,
             )
-        obs.inc("serve.admitted")
-        obs.inc(f"serve.tenant.{tenant}.admitted")
+        self._count(tenant, "admitted")
         return Admission(True, tenant, release=self._release)
+
+    def _count(self, tenant: str, outcome: str) -> None:
+        """Count one decision, in the totals and in *tenant*'s row."""
+        self.metrics.inc(f"serve.{outcome}")
+        self.metrics.inc(f"serve.tenant.{tenant}.{outcome}")
 
     def _release(self) -> None:
         with self._lock:
@@ -262,39 +250,33 @@ class AdmissionController:
         with self._lock:
             return self._inflight
 
+    def _row(self, prefix: str) -> Dict[str, int]:
+        """One ledger row from the counters named ``<prefix><outcome>``."""
+        admitted, quota, inflight = (
+            self.metrics.count(prefix + outcome)
+            for outcome in ("admitted", "rejected.quota", "rejected.inflight")
+        )
+        return {
+            "received": admitted + quota + inflight,
+            "admitted": admitted,
+            "rejected_quota": quota,
+            "rejected_inflight": inflight,
+        }
+
     def ledger(self) -> Dict[str, Dict[str, int]]:
-        """Per-tenant counters; ``admitted + rejected == received`` holds."""
+        """Per-tenant rows of every tenant that sent a gated request."""
         with self._lock:
-            tenants = set(self.received)
-            out = {}
-            for tenant in sorted(tenants):
-                out[tenant] = {
-                    "received": self.received.get(tenant, 0),
-                    "admitted": self.admitted.get(tenant, 0),
-                    "rejected_quota": self.rejected_quota.get(tenant, 0),
-                    "rejected_inflight": self.rejected_inflight.get(tenant, 0),
-                }
-            return out
+            tenants = sorted(self._buckets)
+        rows = {tenant: self._row(f"serve.tenant.{tenant}.") for tenant in tenants}
+        return {tenant: row for tenant, row in rows.items() if row["received"]}
 
     def stats(self) -> Dict[str, Any]:
-        ledger = self.ledger()
-        totals = {
-            key: sum(row[key] for row in ledger.values())
-            for key in (
-                "received",
-                "admitted",
-                "rejected_quota",
-                "rejected_inflight",
-            )
-        }
-        with self._lock:
-            inflight = self._inflight
         return {
             "max_inflight": self.max_inflight,
-            "inflight": inflight,
+            "inflight": self.inflight,
             "peak_inflight": self.peak_inflight,
-            "totals": totals,
-            "tenants": ledger,
+            "totals": self._row("serve."),
+            "tenants": self.ledger(),
         }
 
 

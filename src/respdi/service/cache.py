@@ -8,16 +8,17 @@ query against that state — a hit is always byte-identical to recomputing,
 and invalidation reduces to dropping keys whose generation is no longer
 current (:meth:`QueryResultCache.evict_stale_generations`).
 
-Counters (``service.cache.hit`` / ``.miss`` / ``.evict``) land on
-:mod:`respdi.obs` when enabled and are mirrored locally so the serve
-loop can report stats without enabling global instrumentation.
+Counts (``service.cache.hit`` / ``.miss`` / ``.evict``) live in the
+cache's own always-on :class:`~respdi.obs.ComponentRegistry`, which
+``stats`` reads and which reaches the global registry while
+:mod:`respdi.obs` is enabled.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from respdi import obs
 from respdi.errors import SpecificationError
@@ -32,6 +33,19 @@ from respdi.faults.plan import fault_point
 Generation = Union[int, Tuple[int, ...]]
 CacheKey = Tuple[Generation, str]
 
+
+def normalize_generation(generation: Any) -> Generation:
+    """Ints stay ints; sequences (a JSON list) become the tuple vector."""
+    if isinstance(generation, (tuple, list)):
+        return tuple(int(part) for part in generation)
+    return int(generation)
+
+
+def listed_generation(generation: Optional[Generation]) -> Any:
+    """A generation as the wire and the sidecar carry it: vectors as lists."""
+    return list(generation) if isinstance(generation, tuple) else generation
+
+
 #: Sentinel distinguishing "no cached value" from a cached ``None``.
 _ABSENT = object()
 
@@ -41,7 +55,8 @@ class QueryResultCache:
 
     ``maxsize=0`` disables the cache entirely: lookups miss, stores are
     dropped, and no counters move — the uncached path with zero
-    branches at the call sites.
+    branches at the call sites.  ``lookups`` is derived as ``hits +
+    misses``, so that ledger balances by construction.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -50,13 +65,7 @@ class QueryResultCache:
         self.maxsize = int(maxsize)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: Every accounted :meth:`get` call; ``hits + misses == lookups``
-        #: is invariant under any thread interleaving (all three move
-        #: together under the cache lock) — property-tested.
-        self.lookups = 0
+        self.metrics = obs.ComponentRegistry()
 
     @property
     def enabled(self) -> bool:
@@ -76,17 +85,12 @@ class QueryResultCache:
             return _ABSENT
         fault_point("service.cache.lookup", generation=key[0])
         with self._lock:
-            self.lookups += 1
             value = self._entries.get(key, _ABSENT)
-            if value is _ABSENT:
-                self.misses += 1
-            else:
+            if value is not _ABSENT:
                 self._entries.move_to_end(key)
-                self.hits += 1
-        if value is _ABSENT:
-            obs.inc("service.cache.miss")
-        else:
-            obs.inc("service.cache.hit")
+        self.metrics.inc(
+            "service.cache.miss" if value is _ABSENT else "service.cache.hit"
+        )
         return value
 
     def put(self, key: CacheKey, value: Any) -> None:
@@ -101,9 +105,8 @@ class QueryResultCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 evicted += 1
-            self.evictions += evicted
         if evicted:
-            obs.inc("service.cache.evict", evicted)
+            self.metrics.inc("service.cache.evict", evicted)
 
     def evict_stale_generations(self, current_generation: Generation) -> int:
         """Drop every entry keyed under a generation older than *current*.
@@ -121,9 +124,8 @@ class QueryResultCache:
             ]
             for key in stale:
                 del self._entries[key]
-            self.evictions += len(stale)
         if stale:
-            obs.inc("service.cache.evict", len(stale))
+            self.metrics.inc("service.cache.evict", len(stale))
         return len(stale)
 
     def clear(self) -> None:
@@ -136,15 +138,16 @@ class QueryResultCache:
             return tuple(self._entries)
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "lookups": self.lookups,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+        hits = self.metrics.count("service.cache.hit")
+        misses = self.metrics.count("service.cache.miss")
+        return {
+            "size": len(self),
+            "maxsize": self.maxsize,
+            "lookups": hits + misses,
+            "hits": hits,
+            "misses": misses,
+            "evictions": self.metrics.count("service.cache.evict"),
+        }
 
 
 def is_hit(value: Any) -> bool:
@@ -160,6 +163,4 @@ def make_key(generation: Generation, fingerprint: str) -> CacheKey:
     per shard, so the full vector — not any scalar of it — names the
     catalog state a result was computed against).
     """
-    if isinstance(generation, (tuple, list)):
-        return (tuple(int(part) for part in generation), fingerprint)
-    return (int(generation), fingerprint)
+    return (normalize_generation(generation), fingerprint)

@@ -12,21 +12,21 @@ Parsed requests are answered by :func:`~respdi.service.server.handle_request`.
 
 Around it the loop adds:
 
-* **in-band errors** — a malformed line (bad JSON, nesting past the
-  recursion limit, an unknown op) or one longer than
-  :data:`MAX_REQUEST_CHARS` gets ``{"ok": false, "error": ...}``, and
-  the loop keeps serving.
+* **in-band errors** — a malformed line (bad JSON, bytes that are not
+  UTF-8, nesting past the recursion limit, an unknown op) or one longer
+  than :data:`MAX_REQUEST_CHARS` gets ``{"ok": false, "error": ...}``,
+  and the loop keeps serving.
 * **tenancy** — requests may carry ``"tenant": "name"``; an optional
   :class:`~respdi.service.admission.AdmissionController` applies
   per-tenant token-bucket quotas and a global bounded inflight gate,
   shedding *in-band* with ``{"ok": false, "error": "overloaded",
   "retry_after_ms": ...}``.  ``ping`` and ``stats`` bypass admission so
   health checks always answer.
-* **observability** — per-kind and per-tenant latency histograms in a
-  private, always-on :class:`~respdi.obs.MetricsRegistry` (mirrored to
-  ``serve.latency.*`` obs histograms), request counters, and a ``stats``
-  op that adds server, latency and admission sections to the service
-  and cache-tier stats.
+* **observability** — served requests, connections and the per-kind and
+  per-tenant latency of :data:`TIMED_OPS` are counted in the server's
+  :class:`~respdi.obs.ComponentRegistry`; a ``stats`` op adds server,
+  latency and admission sections to the service and cache-tier stats,
+  each read from its component's registry.
 * an optional **persistent cache tier**
   (:class:`~respdi.service.pcache.PersistentResultCache`) shared by all
   connections, so a restarted server warm-starts from disk.
@@ -59,9 +59,17 @@ from respdi.service.server import handle_request
 #: ``op`` may be any JSON value, and a list cannot be hashed.
 UNGATED_OPS = ("ping", "stats", "stop")
 
+#: Ops whose latency is timed, the ones ``handle_request`` does work for;
+#: timing every op would mint a histogram per distinct unknown op.
+TIMED_OPS = ("keyword", "union", "join", "containment", "match", "reload")
+
 #: Longest request line answered, in characters (newline excluded); the
 #: loop never buffers more than one character past it.
 MAX_REQUEST_CHARS = 1 << 20
+
+#: How both transports decode non-UTF-8 request bytes: into lone
+#: surrogates, so the line is answered in-band instead of ending the stream.
+DECODE_ERRORS = "surrogateescape"
 
 
 def _error(exc: Exception) -> Dict[str, Any]:
@@ -97,12 +105,8 @@ class SocketQueryServer:
         self.pcache = pcache
         self.admission = admission
         self.max_requests = max_requests
-        self.requests_served = 0
-        self.connections_accepted = 0
-        #: Per-kind and per-tenant latency histograms, kept whether or
-        #: not global observability is on, so ``stats`` always has them.
-        self._latency = obs.MetricsRegistry()
-        self._count_lock = threading.Lock()
+        self.metrics = obs.ComponentRegistry()
+        self._conn_lock = threading.Lock()
         self._stopping = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -131,6 +135,15 @@ class SocketQueryServer:
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
 
+    @property
+    def requests_served(self) -> int:
+        """Answered non-blank lines, over every connection or stream."""
+        return self.metrics.count("serve.requests")
+
+    @property
+    def connections_accepted(self) -> int:
+        return self.metrics.count("serve.connections")
+
     def stop(self, timeout: float = 10.0) -> None:
         """Stop accepting, close every connection, join the threads."""
         self._stopping.set()
@@ -154,7 +167,7 @@ class SocketQueryServer:
                 listener.close()
             except OSError:
                 pass
-        with self._count_lock:
+        with self._conn_lock:
             conns = list(self._conns)
         for conn in conns:
             try:
@@ -167,7 +180,7 @@ class SocketQueryServer:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout)
-        with self._count_lock:
+        with self._conn_lock:
             handlers = list(self._handlers)
         for thread in handlers:
             thread.join(timeout)
@@ -204,14 +217,13 @@ class SocketQueryServer:
                 name="respdi-serve-conn",
                 daemon=True,
             )
-            with self._count_lock:
+            with self._conn_lock:
                 if self._stopping.is_set():
                     conn.close()
                     break
-                self.connections_accepted += 1
                 self._conns.append(conn)
                 self._handlers.append(thread)
-            obs.inc("serve.connections")
+            self.metrics.inc("serve.connections")
             thread.start()
 
     # -- the request loop ------------------------------------------------------
@@ -219,7 +231,7 @@ class SocketQueryServer:
     def _handle_connection(self, conn: socket.socket) -> None:
         try:
             self.serve_stream(
-                conn.makefile("r", encoding="utf-8", newline="\n"),
+                conn.makefile("r", encoding="utf-8", errors=DECODE_ERRORS, newline="\n"),
                 conn.makefile("w", encoding="utf-8", newline="\n"),
             )
         except (OSError, ValueError):
@@ -229,7 +241,7 @@ class SocketQueryServer:
                 conn.close()
             except OSError:
                 pass
-            with self._count_lock:
+            with self._conn_lock:
                 try:
                     self._conns.remove(conn)
                 except ValueError:
@@ -291,9 +303,8 @@ class SocketQueryServer:
     def _answer(self, request: Dict[str, Any], op: Any) -> Dict[str, Any]:
         """Admit, answer and time one request other than ``stats``/``stop``."""
         tenant = str(request.get("tenant", DEFAULT_TENANT))
-        gated = op not in UNGATED_OPS
         ticket = None
-        if self.admission is not None and gated:
+        if self.admission is not None and op not in UNGATED_OPS:
             ticket = self.admission.admit(tenant)
             if not ticket:
                 return ticket.rejection()
@@ -304,26 +315,23 @@ class SocketQueryServer:
             with ticket:
                 return handle_request(self.service, request, pcache=self.pcache)
         finally:
-            if op is not None and gated:
+            if op in TIMED_OPS:
                 elapsed = time.perf_counter() - start
-                for key in (f"kind.{op}", f"tenant.{tenant}"):
-                    self._latency.observe(key, elapsed)
-                    obs.observe(f"serve.latency.{key}.seconds", elapsed)
-            obs.inc("serve.requests")
+                self.metrics.observe(f"serve.latency.kind.{op}.seconds", elapsed)
+                self.metrics.observe(f"serve.latency.tenant.{tenant}.seconds", elapsed)
 
     def _count_request(self) -> bool:
         """Count one served request; trip the stop latch at max_requests."""
-        with self._count_lock:
-            self.requests_served += 1
-            if (
-                self.max_requests is not None
-                and self.requests_served >= self.max_requests
-            ):
-                # Latch only: closing sockets from a handler thread would
-                # deadlock stop()'s joins, so just stop accepting work and
-                # let wait()/serve_forever() run the actual shutdown.
-                self._stopping.set()
-                return True
+        self.metrics.inc("serve.requests")
+        if (
+            self.max_requests is not None
+            and self.requests_served >= self.max_requests
+        ):
+            # Latch only: closing sockets from a handler thread would
+            # deadlock stop()'s joins, so just stop accepting work and
+            # let wait()/serve_forever() run the actual shutdown.
+            self._stopping.set()
+            return True
         return False
 
     # -- introspection ---------------------------------------------------------
@@ -336,7 +344,15 @@ class SocketQueryServer:
             "connections_accepted": self.connections_accepted,
             "requests_served": self.requests_served,
         }
-        stats["latency"] = self._latency.snapshot()["histograms"]
+        # Keyed ``kind.<op>`` / ``tenant.<name>`` and sorted on that key:
+        # the full names sort ``tenant.a-b`` before ``tenant.a``.
+        histograms = self.metrics.snapshot()["histograms"]
+        stats["latency"] = dict(
+            sorted(
+                (name.removeprefix("serve.latency.").removesuffix(".seconds"), summary)
+                for name, summary in histograms.items()
+            )
+        )
         if self.admission is not None:
             stats["admission"] = self.admission.stats()
         return response
@@ -353,10 +369,14 @@ def serve(
 
     The stdin transport of ``respdi-catalog serve``: one run of
     :meth:`SocketQueryServer.serve_stream` over *input_stream* and
-    *output_stream*, on a server that never binds a port.  Returns the
-    number of requests served.
+    *output_stream*, on a server that never binds a port.  A text
+    stream over bytes (``sys.stdin``) is switched to the socket's
+    decoding (UTF-8, :data:`DECODE_ERRORS`) before the first read.
+    Returns the number of requests served.
     """
     fault_point("service.serve.start", directory=str(service.directory))
+    if hasattr(input_stream, "reconfigure"):  # not an in-memory StringIO
+        input_stream.reconfigure(encoding="utf-8", errors=DECODE_ERRORS)
     server = SocketQueryServer(service, pcache=pcache, max_requests=max_requests)
     server.serve_stream(input_stream, output_stream)
     return server.requests_served

@@ -24,7 +24,7 @@ Crash-safety contract (machine-checked by ``tests/test_pcache_crash.py``):
   or a complete one — never a torn file that parses;
 * every read re-derives the payload checksum; a mismatch (bit rot,
   manual corruption, a torn write that somehow survived) is **discarded
-  and deleted**, counted on ``service.pcache.corrupt``, and treated as a
+  and deleted**, counted as ``service.pcache.corrupt``, and treated as a
   miss — a corrupt entry is rebuilt, never served;
 * keys embed the catalog generation (an int, or the per-shard vector),
   so entries from superseded generations can never satisfy a lookup and
@@ -46,7 +46,7 @@ from respdi import obs
 from respdi._fsutil import atomic_write_text
 from respdi.errors import SpecificationError
 from respdi.faults.plan import fault_point
-from respdi.service.cache import _ABSENT, Generation
+from respdi.service.cache import _ABSENT, Generation, listed_generation, normalize_generation
 
 PathLike = Union[str, Path]
 
@@ -57,17 +57,6 @@ PCACHE_SCHEMA_VERSION = 1
 #: Default sidecar directory name, created next to (or inside) the
 #: catalog it accelerates.
 PCACHE_DIRNAME = "pcache.d"
-
-
-def _normalize_generation(generation: Generation) -> Generation:
-    """Ints stay ints; sequences become tuples of ints (the shard vector)."""
-    if isinstance(generation, (tuple, list)):
-        return tuple(int(part) for part in generation)
-    return int(generation)
-
-
-def _generation_jsonable(generation: Generation) -> Any:
-    return list(generation) if isinstance(generation, tuple) else generation
 
 
 def _payload_checksum(payload: Any) -> str:
@@ -83,7 +72,7 @@ def entry_filename(generation: Generation, fingerprint: str) -> str:
     whatever the generation shape; the generation is also stored *inside*
     the entry, which is what sweeps and audits read.
     """
-    generation = _normalize_generation(generation)
+    generation = normalize_generation(generation)
     digest = blake2b(digest_size=16)
     digest.update(repr(generation).encode("utf-8"))
     digest.update(b"\x00")
@@ -94,11 +83,12 @@ def entry_filename(generation: Generation, fingerprint: str) -> str:
 class PersistentResultCache:
     """Generation-keyed rendered-result store under one sidecar directory.
 
-    Thread-safe (one lock around directory mutations and counters) and
-    bounded: past *max_entries* files, the oldest entries (by mtime) are
-    evicted on store.  All counters are mirrored on :mod:`respdi.obs`
-    under ``service.pcache.*`` when instrumentation is enabled, and kept
-    locally so ``stats`` works without it.
+    Thread-safe (one lock around directory mutations) and bounded: past
+    *max_entries* files, the oldest entries (by mtime) are evicted on
+    store.  Counts (``service.pcache.hit/miss/store/evict/corrupt/swept``)
+    live in the cache's own always-on
+    :class:`~respdi.obs.ComponentRegistry`, which ``stats`` reads and
+    which reaches the global registry while :mod:`respdi.obs` is enabled.
     """
 
     def __init__(self, directory: PathLike, max_entries: int = 4096) -> None:
@@ -108,12 +98,7 @@ class PersistentResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_entries = int(max_entries)
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.corrupt_discarded = 0
-        self.swept = 0
+        self.metrics = obs.ComponentRegistry()
         #: Last generation observed via :meth:`observe_generation`; sweeps
         #: fire only when it advances.
         self._seen_generation: Optional[Generation] = None
@@ -127,25 +112,18 @@ class PersistentResultCache:
         unreadable/corrupt entry is deleted, counted, and reported as a
         miss — the caller recomputes and overwrites it.
         """
-        generation = _normalize_generation(generation)
+        generation = normalize_generation(generation)
         fault_point("service.pcache.lookup", generation=generation)
         path = self.directory / entry_filename(generation, fingerprint)
         try:
             raw = path.read_text(encoding="utf-8")
         except OSError:
-            with self._lock:
-                self.misses += 1
-            obs.inc("service.pcache.miss")
-            return _ABSENT
-        payload = self._validate(path, raw, generation, fingerprint)
-        if payload is _ABSENT:
-            with self._lock:
-                self.misses += 1
-            obs.inc("service.pcache.miss")
-            return _ABSENT
-        with self._lock:
-            self.hits += 1
-        obs.inc("service.pcache.hit")
+            payload = _ABSENT
+        else:
+            payload = self._validate(path, raw, generation, fingerprint)
+        self.metrics.inc(
+            "service.pcache.miss" if payload is _ABSENT else "service.pcache.hit"
+        )
         return payload
 
     def _validate(
@@ -159,7 +137,7 @@ class PersistentResultCache:
                 # silently and recompute.
                 self._discard(path, corrupt=False)
                 return _ABSENT
-            stored_generation = _normalize_generation(entry["generation"])
+            stored_generation = normalize_generation(entry["generation"])
             payload = entry["payload"]
             checksum = entry["checksum"]
         except (ValueError, KeyError, TypeError):
@@ -180,9 +158,7 @@ class PersistentResultCache:
         except OSError:
             pass
         if corrupt:
-            with self._lock:
-                self.corrupt_discarded += 1
-            obs.inc("service.pcache.corrupt")
+            self.metrics.inc("service.pcache.corrupt")
 
     # -- write path ------------------------------------------------------------
 
@@ -199,11 +175,11 @@ class PersistentResultCache:
         entry embeds its own checksum so a later reader can gate on it
         without any external metadata.
         """
-        generation = _normalize_generation(generation)
+        generation = normalize_generation(generation)
         fault_point("service.pcache.store", generation=generation)
         entry = {
             "schema_version": PCACHE_SCHEMA_VERSION,
-            "generation": _generation_jsonable(generation),
+            "generation": listed_generation(generation),
             "fingerprint": fingerprint,
             "op": op,
             "checksum": _payload_checksum(payload),
@@ -215,9 +191,7 @@ class PersistentResultCache:
         # freshly rendered response (the checksum canonicalizes on its
         # own, so gating never depends on this ordering).
         atomic_write_text(path, json.dumps(entry))
-        with self._lock:
-            self.stores += 1
-        obs.inc("service.pcache.store")
+        self.metrics.inc("service.pcache.store")
         self._evict_over_capacity()
 
     def _evict_over_capacity(self) -> None:
@@ -235,9 +209,8 @@ class PersistentResultCache:
                     evicted += 1
                 except OSError:
                     pass
-            self.evictions += evicted
         if evicted:
-            obs.inc("service.pcache.evict", evicted)
+            self.metrics.inc("service.pcache.evict", evicted)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -248,7 +221,7 @@ class PersistentResultCache:
         on an actual generation change, so steady-state requests cost one
         comparison.  Returns the number of entries swept.
         """
-        generation = _normalize_generation(generation)
+        generation = normalize_generation(generation)
         with self._lock:
             if self._seen_generation == generation:
                 return 0
@@ -264,13 +237,13 @@ class PersistentResultCache:
         a catalog resharded underneath its sidecar) are swept too: their
         keys can never be looked up again.
         """
-        current_generation = _normalize_generation(current_generation)
+        current_generation = normalize_generation(current_generation)
         fault_point("service.pcache.sweep", generation=current_generation)
         swept = 0
         for path in self._entry_files():
             try:
                 entry = json.loads(path.read_text(encoding="utf-8"))
-                stored = _normalize_generation(entry["generation"])
+                stored = normalize_generation(entry["generation"])
             except (OSError, ValueError, KeyError, TypeError):
                 self._discard(path, corrupt=True)
                 continue
@@ -289,9 +262,7 @@ class PersistentResultCache:
                 except OSError:
                     pass
         if swept:
-            with self._lock:
-                self.swept += swept
-            obs.inc("service.pcache.swept", swept)
+            self.metrics.inc("service.pcache.swept", swept)
         return swept
 
     def verify(self) -> List[str]:
@@ -337,18 +308,18 @@ class PersistentResultCache:
         return len(self._entry_files())
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "directory": str(self.directory),
-                "size": len(self._entry_files()),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "evictions": self.evictions,
-                "corrupt_discarded": self.corrupt_discarded,
-                "swept": self.swept,
-            }
+        count = self.metrics.count
+        return {
+            "directory": str(self.directory),
+            "size": len(self),
+            "max_entries": self.max_entries,
+            "hits": count("service.pcache.hit"),
+            "misses": count("service.pcache.miss"),
+            "stores": count("service.pcache.store"),
+            "evictions": count("service.pcache.evict"),
+            "corrupt_discarded": count("service.pcache.corrupt"),
+            "swept": count("service.pcache.swept"),
+        }
 
 
 def sidecar_directory(catalog_directory: PathLike) -> Path:

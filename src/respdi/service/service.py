@@ -89,7 +89,7 @@ from respdi.errors import (
 )
 from respdi.faults.plan import fault_point
 from respdi.parallel import ExecutionContext, map_chunked
-from respdi.service.cache import Generation, QueryResultCache, is_hit, make_key
+from respdi.service.cache import Generation, QueryResultCache, is_hit, listed_generation, make_key
 from respdi.service.queries import Query
 from respdi.table import Table
 
@@ -367,11 +367,6 @@ def _eligible_snapshots(query: Query, vector: ShardVector) -> List[Snapshot]:
     raise SpecificationError(f"unsupported query kind {query.kind!r}")
 
 
-def _listed(generation: Optional[Generation]) -> Any:
-    """A generation as ``reload`` and ``stats`` report it: vectors as lists."""
-    return list(generation) if isinstance(generation, tuple) else generation
-
-
 class _BatchQueryTask:
     """Run one query of a ``query_many`` batch (threads-backend task)."""
 
@@ -479,7 +474,7 @@ class QueryService:
             self._tokens = None
         vector = self.snapshot()
         obs.inc("service.reloads")
-        return _listed(old), _listed(vector.generation)
+        return listed_generation(old), listed_generation(vector.generation)
 
     def committed_generation(self) -> Any:
         """The generation committed on disk right now (manifest reads only).
@@ -573,7 +568,7 @@ class QueryService:
         payload: Dict[str, Any] = {"directory": str(self.directory)}
         if self.sharded:
             payload["shards"] = self.store.num_shards
-        payload["generation"] = _listed(vector.generation) if vector else None
+        payload["generation"] = listed_generation(vector.generation) if vector else None
         payload["committed_generation"] = self.committed_generation()
         payload["entries"] = len(vector.names) if vector else None
         payload.update(self.cache.stats())

@@ -27,7 +27,7 @@ def test_capacity_one_every_insert_evicts_the_previous():
     assert is_hit(cache.get((1, "b")))
     cache.put((1, "c"), "C")
     assert cache.keys() == ((1, "c"),)
-    assert cache.evictions == 2
+    assert cache.stats()["evictions"] == 2
     assert len(cache) == 1
 
 
@@ -36,7 +36,7 @@ def test_capacity_one_overwrite_same_key_is_not_an_eviction():
     cache.put((1, "a"), "old")
     cache.put((1, "a"), "new")
     assert cache.get((1, "a")) == "new"
-    assert cache.evictions == 0
+    assert cache.stats()["evictions"] == 0
 
 
 # -- generation re-pin under concurrent lookups --------------------------------

@@ -140,6 +140,20 @@ def test_module_helpers_are_noops_while_disabled():
     assert obs.global_registry().counter_value("now.recorded") == 1.0
 
 
+def test_component_registry_is_always_on_and_reaches_global_while_enabled():
+    component = obs.ComponentRegistry()
+    component.inc("part.events")
+    component.observe("part.seconds", 0.5)
+    assert list(obs.global_registry().metric_names()) == []
+    obs.enable()
+    component.inc("part.events", 2)
+    component.observe("part.seconds", 1.5)
+    assert component.count("part.events") == 3
+    assert component.histogram_summary("part.seconds")["count"] == 2
+    assert obs.global_registry().count("part.events") == 2
+    assert obs.global_registry().histogram_summary("part.seconds")["count"] == 1
+
+
 # -- tracing ------------------------------------------------------------------
 
 

@@ -87,8 +87,9 @@ def test_cache_get_put_and_lru_eviction_order():
     cache.put((1, "c"), "C")  # evicts "b", the least recently used
     assert [key for key in cache.keys()] == [(1, "a"), (1, "c")]
     assert not is_hit(cache.get((1, "b")))
-    assert cache.evictions == 1
-    assert cache.hits == 1 and cache.misses == 1
+    stats = cache.stats()
+    assert stats["evictions"] == 1
+    assert stats["hits"] == 1 and stats["misses"] == 1
 
 
 def test_cache_generation_eviction_only_drops_stale():
@@ -107,7 +108,8 @@ def test_cache_size_zero_disables():
     cache.put((1, "a"), "A")
     assert not is_hit(cache.get((1, "a")))
     assert cache.stats()["size"] == 0
-    assert cache.hits == 0 and cache.misses == 0  # disabled: no accounting
+    stats = cache.stats()
+    assert stats["hits"] == 0 and stats["misses"] == 0  # disabled: no accounting
 
 
 def test_cache_clear_and_stats():
@@ -205,8 +207,9 @@ def test_cached_results_are_byte_identical_to_uncached(service):
         assert repr(miss) == repr(uncached)
         assert repr(hit) == repr(uncached)
         assert hit is miss  # the cache returns the very computed object
-    assert service.cache.hits == len(queries)
-    assert service.cache.misses == len(queries)
+    stats = service.cache.stats()
+    assert stats["hits"] == len(queries)
+    assert stats["misses"] == len(queries)
 
 
 def test_repins_only_when_the_manifest_moves(service):
@@ -279,7 +282,8 @@ def test_query_many_threads_matches_serial(store):
 def test_uncached_queries_bypass_the_cache(service):
     service.query(KeywordQuery(text="alpha", k=5), cached=False)
     assert list(service.cache.keys()) == []
-    assert service.cache.hits == 0 and service.cache.misses == 0
+    stats = service.cache.stats()
+    assert stats["hits"] == 0 and stats["misses"] == 0
 
 
 def test_stats_reports_generation_and_cache_state(service):
