@@ -143,6 +143,15 @@ def _hash_workload():
     return [pool[i] for i in rng.integers(0, len(pool), size=200_000)]
 
 
+def _median_seconds(fn, *args, repeats=5):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - start)
+    return sorted(times)[repeats // 2]
+
+
 def test_benchmark_value_hashing_warm_at_least_5x(benchmark):
     """The headline kernel CI tracks in ``BENCH_table.json``: batched
     value hashing on the steady-state workload vs the seed scalar loop."""
@@ -158,7 +167,11 @@ def test_benchmark_value_hashing_warm_at_least_5x(benchmark):
     cold_seconds = time.perf_counter() - cold_start
 
     warm = benchmark(stable_hash32_list, data)
-    warm_seconds = benchmark.stats.stats.median
+    if benchmark.disabled:
+        # --benchmark-disable runs the call once and keeps no stats.
+        warm_seconds = _median_seconds(stable_hash32_list, data)
+    else:
+        warm_seconds = benchmark.stats.stats.median
 
     assert cold == warm == reference
     speedup_warm = seed_seconds / warm_seconds

@@ -83,12 +83,23 @@ def entry_filename(generation: Generation, fingerprint: str) -> str:
 class PersistentResultCache:
     """Generation-keyed rendered-result store under one sidecar directory.
 
-    Thread-safe (one lock around directory mutations) and bounded: past
-    *max_entries* files, the oldest entries (by mtime) are evicted on
-    store.  Counts (``service.pcache.hit/miss/store/evict/corrupt/swept``)
-    live in the cache's own always-on
-    :class:`~respdi.obs.ComponentRegistry`, which ``stats`` reads and
-    which reaches the global registry while :mod:`respdi.obs` is enabled.
+    Thread-safe (one lock around the entry count and every unlink the
+    cache makes) and bounded: past *max_entries* files, the oldest
+    entries (by mtime) are evicted on store.  The entry count lives in
+    memory: one listing seeds it at open, each store adds one, each
+    unlink the cache makes subtracts one, and every listing re-seeds it.
+    So a store lists the directory only once the count passes
+    *max_entries*, and a full sidecar lists on every store.  The count
+    does not see stores made by other processes: one process keeps at
+    most *max_entries* entries, and P processes sharing one sidecar keep
+    at most about P × *max_entries*.  An entry unlinked by someone else
+    between a listing and its use is already gone: it is not evicted,
+    swept or counted corrupt.  ``len`` and ``stats()["size"]`` list the
+    directory.  Counts
+    (``service.pcache.hit/miss/store/evict/corrupt/swept``) live in the
+    cache's own always-on :class:`~respdi.obs.ComponentRegistry`, which
+    ``stats`` reads and which reaches the global registry while
+    :mod:`respdi.obs` is enabled.
     """
 
     def __init__(self, directory: PathLike, max_entries: int = 4096) -> None:
@@ -102,6 +113,12 @@ class PersistentResultCache:
         #: Last generation observed via :meth:`observe_generation`; sweeps
         #: fire only when it advances.
         self._seen_generation: Optional[Generation] = None
+        #: Entries in the sidecar as far as this process knows; changed
+        #: only under ``_lock``.  An over-count only brings the next
+        #: listing forward.
+        self._count = 0
+        with self._lock:
+            self._entry_files()  # seeds _count
 
     # -- read path -------------------------------------------------------------
 
@@ -153,10 +170,8 @@ class PersistentResultCache:
         return payload
 
     def _discard(self, path: Path, corrupt: bool) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        with self._lock:
+            self._unlink(path)
         if corrupt:
             self.metrics.inc("service.pcache.corrupt")
 
@@ -195,20 +210,23 @@ class PersistentResultCache:
         self._evict_over_capacity()
 
     def _evict_over_capacity(self) -> None:
-        """Drop oldest-mtime entries past ``max_entries`` (LRU-by-write)."""
+        """Count the new entry; past ``max_entries``, list the sidecar and
+        drop oldest-mtime entries down to it (LRU-by-write)."""
+        evicted = 0
         with self._lock:
-            files = self._entry_files()
-            excess = len(files) - self.max_entries
-            if excess <= 0:
+            self._count += 1
+            if self._count <= self.max_entries:
                 return
-            files.sort(key=lambda p: (p.stat().st_mtime_ns, p.name))
-            evicted = 0
-            for path in files[:excess]:
+            stamped = []
+            for path in self._entry_files():
                 try:
-                    path.unlink()
-                    evicted += 1
-                except OSError:
-                    pass
+                    stamped.append((path.stat().st_mtime_ns, path.name, path))
+                except FileNotFoundError:
+                    continue  # unlinked since the listing: already gone
+            self._count = len(stamped)
+            stamped.sort()
+            for _, _, path in stamped[: max(0, len(stamped) - self.max_entries)]:
+                evicted += self._unlink(path)
         if evicted:
             self.metrics.inc("service.pcache.evict", evicted)
 
@@ -240,10 +258,14 @@ class PersistentResultCache:
         current_generation = normalize_generation(current_generation)
         fault_point("service.pcache.sweep", generation=current_generation)
         swept = 0
-        for path in self._entry_files():
+        with self._lock:
+            files = self._entry_files()
+        for path in files:
             try:
                 entry = json.loads(path.read_text(encoding="utf-8"))
                 stored = normalize_generation(entry["generation"])
+            except FileNotFoundError:
+                continue  # unlinked since the listing: already gone
             except (OSError, ValueError, KeyError, TypeError):
                 self._discard(path, corrupt=True)
                 continue
@@ -256,11 +278,8 @@ class PersistentResultCache:
             else:
                 stale = stored < current_generation
             if stale:
-                try:
-                    path.unlink()
-                    swept += 1
-                except OSError:
-                    pass
+                with self._lock:
+                    swept += self._unlink(path)
         if swept:
             self.metrics.inc("service.pcache.swept", swept)
         return swept
@@ -273,9 +292,13 @@ class PersistentResultCache:
         sidecar.  Nothing is deleted.
         """
         problems: List[str] = []
-        for path in self._entry_files():
+        with self._lock:
+            files = self._entry_files()
+        for path in files:
             try:
                 entry = json.loads(path.read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                continue  # unlinked since the listing: already gone
             except (OSError, ValueError) as exc:
                 problems.append(f"{path.name}: unreadable ({exc})")
                 continue
@@ -289,23 +312,34 @@ class PersistentResultCache:
     def clear(self) -> None:
         with self._lock:
             for path in self._entry_files():
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                self._unlink(path)
 
     def _entry_files(self) -> List[Path]:
+        """List the sidecar's entries and re-seed ``_count``; hold ``_lock``."""
         try:
-            return [
+            files = [
                 path
                 for path in self.directory.iterdir()
                 if path.suffix == ".json" and not path.name.startswith(".")
             ]
         except OSError:
-            return []
+            files = []
+        self._count = len(files)
+        return files
+
+    def _unlink(self, path: Path) -> bool:
+        """Delete one entry and count it out; hold ``_lock``.  False if it
+        was not deleted (another process got there first, say)."""
+        try:
+            path.unlink()
+        except OSError:
+            return False
+        self._count = max(0, self._count - 1)
+        return True
 
     def __len__(self) -> int:
-        return len(self._entry_files())
+        with self._lock:
+            return len(self._entry_files())
 
     def stats(self) -> Dict[str, Any]:
         count = self.metrics.count

@@ -10,6 +10,7 @@ byte-identical to the computed response.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +203,137 @@ def test_capacity_bound_evicts_oldest(tmp_path):
     assert pcache.stats()["evictions"] == 1
     assert not is_hit(pcache.get(1, "a"))
     assert is_hit(pcache.get(1, "b")) and is_hit(pcache.get(1, "c"))
+
+
+def _count_listings(monkeypatch, directory):
+    """Count the listings of *directory* from here on.  A listing made
+    some other way than ``Path.iterdir`` goes uncounted, so the test
+    below, which expects exactly one, fails rather than passing."""
+    listings = []
+    original = Path.iterdir
+
+    def counting(self):
+        if self == directory:
+            listings.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Path, "iterdir", counting)
+    return listings
+
+
+def test_stores_under_capacity_list_nothing(tmp_path, monkeypatch):
+    import os
+
+    pcache = PersistentResultCache(tmp_path / "pc", max_entries=8)
+    listings = _count_listings(monkeypatch, pcache.directory)
+    for i in range(8):
+        pcache.put(1, f"k{i}", [i])
+        os.utime(_entry_path(pcache, 1, f"k{i}"), ns=(i + 1, i + 1))
+    assert listings == []  # the count lives in memory
+    pcache.put(1, "k8", [8])  # past capacity: one listing, one eviction
+    assert len(listings) == 1
+    assert pcache.stats()["evictions"] == 1
+    assert not is_hit(pcache.get(1, "k0"))  # the oldest went
+    assert all(is_hit(pcache.get(1, f"k{i}")) for i in range(1, 9))
+    assert len(pcache) == 8
+
+
+def test_reopen_counts_what_is_already_on_disk(tmp_path):
+    first = PersistentResultCache(tmp_path / "pc", max_entries=2)
+    first.put(1, "a", ["a"])
+    first.put(1, "b", ["b"])
+    second = PersistentResultCache(tmp_path / "pc", max_entries=2)
+    second.put(1, "c", ["c"])
+    assert len(second) == 2 and second.stats()["evictions"] == 1
+
+
+def test_over_count_lists_early_and_evicts_nothing(tmp_path):
+    pcache = PersistentResultCache(tmp_path / "pc", max_entries=3)
+    for key in "abc":
+        pcache.put(1, key, [key])
+    for key in "ab":
+        _entry_path(pcache, 1, key).unlink()  # behind the cache's back
+    pcache.put(1, "d", ["d"])  # the count passes 3; the listing finds 2
+    assert pcache.stats()["evictions"] == 0
+    assert is_hit(pcache.get(1, "c")) and is_hit(pcache.get(1, "d"))
+
+
+def test_concurrent_stores_never_under_count(tmp_path):
+    import sys
+    import threading
+
+    threads, per_thread = 8, 50
+    # One entry fewer than the stores: only the count reaching the last
+    # store intact makes it list and evict.
+    pcache = PersistentResultCache(tmp_path / "pc", max_entries=threads * per_thread - 1)
+
+    def store(t):
+        for i in range(per_thread):
+            pcache.put(1, f"t{t}-{i}", [t, i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=store, args=(t,)) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    on_disk = [p for p in pcache.directory.iterdir() if p.suffix == ".json"]
+    assert pcache._count >= len(on_disk)  # it may over-count, never under
+    assert len(on_disk) == pcache.max_entries
+    assert pcache.stats()["stores"] == threads * per_thread
+    assert pcache.verify() == []
+
+
+def _vanish_after_listing(monkeypatch, victim):
+    """Make the next listing return *victim*, then delete it, as a
+    concurrent discard or another process would."""
+    original = PersistentResultCache._entry_files
+
+    def listing(self):
+        files = original(self)
+        if victim in files:
+            victim.unlink()
+            monkeypatch.setattr(PersistentResultCache, "_entry_files", original)
+        return files
+
+    monkeypatch.setattr(PersistentResultCache, "_entry_files", listing)
+
+
+def test_entry_vanishing_before_eviction_fails_no_store(tmp_path, monkeypatch):
+    pcache = PersistentResultCache(tmp_path / "pc", max_entries=2)
+    pcache.put(1, "a", ["a"])
+    pcache.put(1, "b", ["b"])
+    _vanish_after_listing(monkeypatch, _entry_path(pcache, 1, "a"))
+    pcache.put(1, "c", ["c"])  # listed a, b, c; a was gone by the sort
+    assert pcache.stats()["evictions"] == 0  # the gone entry is not evicted
+    assert is_hit(pcache.get(1, "b")) and is_hit(pcache.get(1, "c"))
+    assert len(pcache) == 2
+
+
+def test_entry_vanishing_before_sweep_is_not_corrupt(pcache, monkeypatch):
+    pcache.put(1, "old", ["old"])
+    pcache.put(2, "gone", ["gone"])
+    pcache.put(2, "keep", ["keep"])
+    pcache.put(2, "garbage", ["garbage"])
+    _entry_path(pcache, 2, "garbage").write_text("{not json")
+    _vanish_after_listing(monkeypatch, _entry_path(pcache, 2, "gone"))
+    assert pcache.sweep_stale(2) == 1  # only the old generation
+    stats = pcache.stats()
+    assert stats["corrupt_discarded"] == 1  # the garbage entry, not the gone one
+    assert not _entry_path(pcache, 2, "garbage").exists()
+    assert is_hit(pcache.get(2, "keep"))
+    assert stats["size"] == 1
+
+
+def test_entry_vanishing_before_verify_is_no_problem(pcache, monkeypatch):
+    pcache.put(1, "gone", ["gone"])
+    _vanish_after_listing(monkeypatch, _entry_path(pcache, 1, "gone"))
+    assert pcache.verify() == []
 
 
 def test_max_entries_must_be_positive(tmp_path):
