@@ -8,7 +8,7 @@ scheduler noise), and the catalog the daemon leaves behind is
 entry-for-entry identical to a from-scratch build of the final lake
 state.  The steady-state cost of *watching* (a no-op cycle: scan every
 CSV, fingerprint-match everything, commit nothing) is reported
-separately and exposed to ``--benchmark-json`` for CI.
+separately and exposed to ``--benchmark-json``.
 """
 
 import threading
@@ -151,7 +151,7 @@ def idle_daemon(tmp_path_factory):
 
 
 def test_benchmark_noop_watch_cycle(benchmark, idle_daemon):
-    """The steady-state watch cost CI tracks in ``BENCH_ingest.json``:
+    """The steady-state watch cost (``--benchmark-json``):
     scan + fingerprint every source, short-circuit, commit nothing."""
     result = benchmark(idle_daemon.run_cycle)
     assert not result.applied

@@ -6,8 +6,8 @@ convoys, not scheduler jitter), and the two warm tiers — the in-memory
 generation-keyed cache and the persistent on-disk sidecar after a cold
 restart — both answer the same repeated query mix **at least 2x faster**
 than recomputing, while staying byte-identical to the recomputed
-answers.  The socket round-trip cost CI tracks lives in
-``BENCH_serve.json`` via ``--benchmark-json``.
+answers.  The socket round-trip cost is visible to
+``--benchmark-json``.
 """
 
 import json
@@ -248,7 +248,7 @@ def warm_server(catalog_dir):
 
 
 def test_benchmark_socket_roundtrip_warm(benchmark, warm_server):
-    """The per-request serve overhead CI tracks in ``BENCH_serve.json``:
+    """The per-request serve overhead (``--benchmark-json``):
     one JSON-lines round-trip answered from the warm result cache."""
     reader, writer = warm_server
     line = json.dumps(REQUESTS[0]) + "\n"

@@ -12,8 +12,7 @@ The win stacks on E16's per-table fan-out: there, parallel workers still
 funnel into one writer lock and one manifest commit; here each worker
 both sketches *and commits* on its own shard, so the critical section
 itself is partitioned.  A ``benchmark``-fixture test makes the shard
-fan-out visible to ``--benchmark-json`` (CI uploads it as
-``BENCH_shards.json``).
+fan-out visible to ``--benchmark-json``.
 """
 
 import os

@@ -18,7 +18,7 @@ vectorized core replaced, proven byte-identical by
 * **zero-copy slicing** — window/head slices share buffers, so slice
   memory is the viewed extent, not a copy of it.
 
-CI tracks the headline timing in ``BENCH_table.json``.
+The headline timing is visible to ``--benchmark-json``.
 """
 
 import hashlib
@@ -153,7 +153,7 @@ def _median_seconds(fn, *args, repeats=5):
 
 
 def test_benchmark_value_hashing_warm_at_least_5x(benchmark):
-    """The headline kernel CI tracks in ``BENCH_table.json``: batched
+    """The headline kernel (``--benchmark-json``): batched
     value hashing on the steady-state workload vs the seed scalar loop."""
     data = _hash_workload()
 

@@ -1,13 +1,14 @@
 """respdi.catalog — a persistent, concurrent data-lake catalog.
 
 Registering tables into a :class:`CatalogStore` persists their MinHash
-signatures, LSH Ensemble state, keyword/joinability substrate, and
-transparency artifacts (nutritional labels, datasheets) to a versioned,
-checksummed directory.  :meth:`CatalogStore.index` then rehydrates a
-:class:`~respdi.discovery.lake_index.DataLakeIndex` without re-reading
-raw data — the *warm start* — with query results identical to a cold
-build.  Many processes may read concurrently; writers serialize on a
-lock file (:mod:`respdi.catalog.locking`).
+signatures, keyword/joinability substrate, and transparency artifacts
+(nutritional labels, datasheets) to a versioned, checksummed directory.
+:meth:`CatalogStore.index` then rehydrates a
+:class:`~respdi.discovery.lake_index.DataLakeIndex` — LSH Ensemble
+partitions rebuilt from the stored signatures — without re-reading raw
+data (the *warm start*), with query results identical to a cold build.
+Many processes may read concurrently; writers serialize on a lock file
+(:mod:`respdi.catalog.locking`).
 
 Command line: ``respdi-catalog build|add|remove|refresh|query|verify|info``
 (also ``python -m respdi.catalog``).

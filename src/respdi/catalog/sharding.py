@@ -6,7 +6,7 @@ manifest — correct, but a scaling bottleneck: two writers touching
 disjoint tables still contend, and one bulk build is one giant critical
 section.  :class:`ShardedCatalogStore` partitions the catalog over
 ``num_shards`` directories, each a *complete* ``CatalogStore`` (own
-manifest, own ensemble, own lock), so builds and refreshes fan out
+manifest, own entries, own lock), so builds and refreshes fan out
 shard-parallel over :mod:`respdi.parallel` and writers on different
 shards never wait on each other.
 

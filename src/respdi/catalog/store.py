@@ -14,12 +14,9 @@ builds, warm and cold query results are identical.
 Layout::
 
     <catalog>/
-      MANIFEST.json          # schema version, config, per-file checksums
+      MANIFEST.json          # schema version, config, generation,
+                             # per-file checksums
       hasher.npz             # the shared MinHasher's coefficients
-      ensemble-<gen>.npz     # the frozen LSH Ensemble over all domains
-                             # (generation-numbered; named by the manifest,
-                             # published by the manifest rename, old
-                             # generations GC'd after commit)
       writer.lock            # transient: present only while a writer runs
       entries/<dir>/         # one directory per registered table
         meta.json sketches.npz columns.json keyword.json features.json
@@ -33,11 +30,12 @@ Integrity and concurrency:
   from a different hash family are rejected instead of silently
   producing garbage similarities;
 * writers serialize on a lock file (:mod:`respdi.catalog.locking`) and
-  commit by atomically replacing the manifest, so readers — which never
-  lock — always see a consistent snapshot; entry directories and
-  ensemble generations orphaned by a crash are garbage-collected by the
-  next writer, and ``*.tmp`` residue past its grace period is swept by
-  :meth:`CatalogStore.open`.
+  commit by writing the changed entry directories and then atomically
+  replacing the manifest — a commit's only durable write outside the
+  entries — so readers, which never lock, always see a consistent
+  snapshot; entry directories orphaned by a crash are garbage-collected
+  by the next writer, and ``*.tmp`` residue past its grace period is
+  swept by :meth:`CatalogStore.open`.
 
 These guarantees are machine-checked: ``tests/test_crash_consistency.py``
 kills every mutation at every :func:`~respdi.faults.fault_point` it
@@ -71,10 +69,8 @@ from respdi.discovery.lake_index import (
     build_table_artifacts,
 )
 from respdi.discovery.lazo import LazoSketch
-from respdi.discovery.lshensemble import LSHEnsemble
 from respdi.discovery.minhash import MinHasher, MinHashSignature
 from respdi.discovery.serialize import (
-    lshensemble_to_npz,
     minhasher_from_npz,
     minhasher_to_npz,
     signatures_from_arrays,
@@ -97,12 +93,6 @@ CATALOG_SCHEMA_VERSION = 1
 
 MANIFEST_FILENAME = "MANIFEST.json"
 HASHER_FILENAME = "hasher.npz"
-#: Legacy fixed ensemble filename; current catalogs write generation-
-#: numbered ``ensemble-<gen>.npz`` files named by ``manifest["ensemble_file"]``
-#: so the manifest commit — never an in-place overwrite — publishes a new
-#: ensemble (a crash between ensemble write and manifest rename must leave
-#: the previous referenced ensemble intact and checksum-clean).
-ENSEMBLE_FILENAME = "ensemble.npz"
 ENTRIES_DIRNAME = "entries"
 
 
@@ -257,7 +247,6 @@ class CatalogStore:
         self.hasher = hasher
         self._tlock = threading.RLock()
         self._index_cache: Optional[DataLakeIndex] = None
-        self._sketch_cache: Dict[str, Dict[str, MinHashSignature]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -303,11 +292,11 @@ class CatalogStore:
             "hasher_fingerprint": hasher.fingerprint,
             "files": {},
             "entries": {},
+            "ensemble_generation": 1,
         }
         store = cls(directory, manifest, hasher)
         with writer_lock(directory, timeout=cls.lock_timeout):
             minhasher_to_npz(directory / HASHER_FILENAME, hasher)
-            store._rewrite_ensemble()
             manifest["files"][HASHER_FILENAME] = _file_checksum(
                 directory / HASHER_FILENAME
             )
@@ -485,11 +474,13 @@ class CatalogStore:
     def generation(self) -> int:
         """The manifest generation this store object currently reflects.
 
-        Every successful commit advances the generation by exactly one
-        (it numbers the ensemble file the manifest publishes), so the
-        pair ``(directory, generation)`` names one immutable committed
-        catalog state — the key the service layer pins snapshots and
-        caches query results under.
+        :meth:`create` writes generation 1 and every successful commit
+        advances it by exactly one, so the pair ``(directory,
+        generation)`` names one immutable committed catalog state — the
+        key the service layer pins snapshots and caches query results
+        under.  The manifest key keeps its historical name,
+        ``ensemble_generation``, from when each commit also wrote a
+        generation-numbered ensemble file.
         """
         return int(self._manifest.get("ensemble_generation", 0))
 
@@ -565,7 +556,6 @@ class CatalogStore:
             return
         if manifest != self._manifest:
             self._manifest = manifest
-            self._sketch_cache.clear()
             self._index_cache = None
 
     # -- mutation ------------------------------------------------------------
@@ -610,7 +600,6 @@ class CatalogStore:
             if name not in self._manifest["entries"]:
                 raise SpecificationError(f"table {name!r} is not cataloged")
             del self._manifest["entries"][name]
-            self._sketch_cache.pop(name, None)
             self._commit()
 
     def refresh(self, name: str, table: Table) -> bool:
@@ -707,7 +696,6 @@ class CatalogStore:
         """Replace *name*'s entry in the manifest, preserving its metadata."""
         meta = self.meta(name) if meta is None else meta
         del self._manifest["entries"][name]
-        self._sketch_cache.pop(name, None)
         self._write_entry(
             name,
             table,
@@ -849,16 +837,12 @@ class CatalogStore:
         return data
 
     def _entry_signatures(self, name: str) -> Dict[str, MinHashSignature]:
-        cached = self._sketch_cache.get(name)
-        if cached is None:
-            data = self._read_entry_bytes(name, "sketches.npz")
-            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-                arrays = {member: archive[member] for member in archive.files}
-            cached = signatures_from_arrays(
-                arrays, self.hasher, source=f"entry {name!r} sketches"
-            )
-            self._sketch_cache[name] = cached
-        return cached
+        data = self._read_entry_bytes(name, "sketches.npz")
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            arrays = {member: archive[member] for member in archive.files}
+        return signatures_from_arrays(
+            arrays, self.hasher, source=f"entry {name!r} sketches"
+        )
 
     def _load_artifacts(self, name: str) -> TableArtifacts:
         meta = self.meta(name)
@@ -1017,37 +1001,6 @@ class CatalogStore:
                 if not path.name.endswith(".tmp")
             },
         }
-        self._sketch_cache[name] = signatures
-
-    def _rewrite_ensemble(self) -> None:
-        # The ensemble lands in a fresh generation-numbered file and is
-        # published by the manifest rename that follows — never by
-        # overwriting the referenced file in place.  A crash after this
-        # write but before the manifest commit leaves the previous
-        # referenced ensemble intact, so the store still verifies clean
-        # as the complete old state; the orphaned new generation is
-        # garbage-collected by the next successful commit.
-        ensemble = LSHEnsemble(
-            hasher=self.hasher, num_partitions=self.num_partitions
-        )
-        for name in self._manifest["entries"]:
-            for column, signature in self._entry_signatures(name).items():
-                ensemble.index_signature((name, column), signature)
-        if self._manifest["entries"]:
-            ensemble.freeze()
-        previous = self._manifest.get("ensemble_file")
-        if previous is None and ENSEMBLE_FILENAME in self._manifest["files"]:
-            previous = ENSEMBLE_FILENAME  # pre-generation layout
-        generation = int(self._manifest.get("ensemble_generation", 0)) + 1
-        filename = f"ensemble-{generation:08d}.npz"
-        lshensemble_to_npz(self.directory / filename, ensemble)
-        if previous is not None and previous != filename:
-            self._manifest["files"].pop(previous, None)
-        self._manifest["ensemble_file"] = filename
-        self._manifest["ensemble_generation"] = generation
-        self._manifest["files"][filename] = _file_checksum(
-            self.directory / filename
-        )
 
     def _write_manifest(self) -> None:
         # Entry order is registration order; do NOT sort keys here, or
@@ -1059,9 +1012,20 @@ class CatalogStore:
         )
 
     def _commit(self) -> None:
-        """Publish the in-memory manifest: ensemble, manifest swap, GC."""
-        fault_point("catalog.commit.ensemble")
-        self._rewrite_ensemble()
+        """Publish the in-memory manifest as the next generation, then GC.
+
+        The entry files are already written, so the manifest swap is the
+        commit's one durable write: a crash before it leaves the old
+        generation, after it the new one.
+        """
+        self._manifest["ensemble_generation"] = self.generation + 1
+        # A catalog written while commits also wrote a whole-store LSH
+        # Ensemble file still lists it; nothing reads it, so the first
+        # commit unlists it and _gc unlinks it.
+        self._manifest.pop("ensemble_file", None)
+        files = self._manifest["files"]
+        for filename in [name for name in files if name.startswith("ensemble")]:
+            del files[filename]
         fault_point("catalog.commit.manifest")
         self._write_manifest()
         fault_point("catalog.commit.gc")
@@ -1072,13 +1036,11 @@ class CatalogStore:
         referenced = {
             record["dir"] for record in self._manifest["entries"].values()
         }
-        current_ensemble = self._manifest.get("ensemble_file")
         for child in self.directory.glob("ensemble*.npz"):
-            if child.name != current_ensemble:
-                try:
-                    child.unlink()
-                except OSError:  # pragma: no cover - concurrent sweep
-                    pass
+            try:
+                child.unlink()
+            except OSError:  # pragma: no cover - concurrent sweep
+                pass
         entries_dir = self.directory / ENTRIES_DIRNAME
         if not entries_dir.is_dir():
             return

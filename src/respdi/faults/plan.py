@@ -57,7 +57,6 @@ KNOWN_POINTS = frozenset(
         "fsutil.tmp_written",
         "fsutil.renamed",
         # respdi.catalog.store — manifest commit protocol and read gate
-        "catalog.commit.ensemble",
         "catalog.commit.manifest",
         "catalog.commit.gc",
         "catalog.entry.read",

@@ -32,9 +32,11 @@ Around it the loop adds:
   connections, so a restarted server warm-starts from disk.
 
 Over TCP each connection gets its own handler thread, dropped from the
-server's bookkeeping when the connection ends; all share the service's
-thread-safe snapshot/cache machinery.  The server binds ``127.0.0.1`` by
-default: exposing it wider is an explicit operator decision (``--host``).
+server's bookkeeping when the connection ends — at EOF, at ``stop``, or
+once a read or write has waited :data:`IDLE_TIMEOUT_S` seconds; all
+share the service's thread-safe snapshot/cache machinery.  The server
+binds ``127.0.0.1`` by default: exposing it wider is an explicit
+operator decision (``--host``).
 """
 
 from __future__ import annotations
@@ -66,6 +68,11 @@ TIMED_OPS = ("keyword", "union", "join", "containment", "match", "reload")
 #: Longest request line answered, in characters (newline excluded); the
 #: loop never buffers more than one character past it.
 MAX_REQUEST_CHARS = 1 << 20
+
+#: Seconds a TCP connection's read or write may wait before the server
+#: closes it, so a silent client cannot hold a handler thread until
+#: :meth:`SocketQueryServer.stop`.  stdin has no timeout.
+IDLE_TIMEOUT_S = 60.0
 
 #: How both transports decode non-UTF-8 request bytes: into lone
 #: surrogates, so the line is answered in-band instead of ending the stream.
@@ -230,12 +237,13 @@ class SocketQueryServer:
 
     def _handle_connection(self, conn: socket.socket) -> None:
         try:
+            conn.settimeout(IDLE_TIMEOUT_S)
             self.serve_stream(
                 conn.makefile("r", encoding="utf-8", errors=DECODE_ERRORS, newline="\n"),
                 conn.makefile("w", encoding="utf-8", newline="\n"),
             )
         except (OSError, ValueError):
-            pass  # client went away mid-write; nothing to salvage
+            pass  # client went away or idled out; nothing to salvage
         finally:
             try:
                 conn.close()

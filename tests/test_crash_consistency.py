@@ -24,8 +24,10 @@ from respdi.errors import CatalogCorruptError, SpecificationError
 from respdi.faults import (
     CRASH_EXIT_CODE,
     CrashSimulator,
+    Fault,
     FaultPlan,
     TornWriteFault,
+    current_plan,
     install_plan,
 )
 from respdi.table import Schema, Table
@@ -206,6 +208,31 @@ def test_refresh_unchanged_table_takes_no_write_steps(tmp_path):
     )
     trace = simulator.record(tmp_path / "record")
     assert [p for p in trace if p.startswith("fsutil.")] == []
+
+
+def test_commit_publishes_only_the_manifest(tmp_path):
+    """``remove_table`` writes no entry files, so every durable write it
+    makes is the commit's own: exactly one rename, of ``MANIFEST.json``."""
+    renamed = []
+
+    class RecordPath(Fault):
+        def fire(self, point, info):
+            renamed.append(os.path.basename(info["path"]))
+
+    def mutate(workdir):
+        current_plan().on("fsutil.renamed", RecordPath(), times=None)
+        CatalogStore.open(workdir / "cat").remove_table("table2")
+
+    simulator = CrashSimulator(
+        _prepare_built(["table0", "table1", "table2"]),
+        mutate,
+        _classifier({}),
+        points=("fsutil.",),
+        operation="remove-record",
+    )
+    trace = simulator.record(tmp_path / "record")
+    assert trace.count("fsutil.renamed") == 1
+    assert renamed == ["MANIFEST.json"]
 
 
 def test_torn_manifest_rename_is_detected_not_silent(tmp_path):

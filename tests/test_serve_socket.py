@@ -26,6 +26,7 @@ from respdi.service import (
     parse_quota_specs,
     reset_shared_services,
 )
+from respdi.service import netserver
 from respdi.service.admission import DEFAULT_TENANT
 from respdi.table import Schema, Table
 
@@ -384,6 +385,35 @@ def test_finished_handlers_are_dropped_and_live_ones_joined(catalog):
             assert server._handlers == []
     finally:
         server.stop()
+
+
+def test_idle_connection_is_closed_and_its_handler_leaves(catalog, monkeypatch):
+    monkeypatch.setattr(netserver, "IDLE_TIMEOUT_S", 0.2)
+    server = _start(QueryService(catalog))
+    try:
+        with socket.create_connection(server.address, timeout=10) as silent:
+            # The server closes the silent connection: the read sees EOF.
+            assert silent.recv(1) == b""
+            deadline = time.monotonic() + 10
+            while server._handlers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server._handlers == []
+
+        # A client that speaks more often than the timeout stays served.
+        with socket.create_connection(server.address, timeout=10) as conn:
+            reader = conn.makefile("r", encoding="utf-8", newline="\n")
+            stop = time.monotonic() + 1.0
+            pings = 0
+            while time.monotonic() < stop:
+                conn.sendall(b'{"op": "ping"}\n')
+                assert json.loads(reader.readline())["ok"]
+                pings += 1
+                time.sleep(0.05)
+            assert pings >= 5  # served across five timeouts' worth of time
+            assert len(server._handlers) == 1
+    finally:
+        server.stop()
+    assert server.connections_accepted == 2
 
 
 def test_cli_serve_over_socket(catalog):
