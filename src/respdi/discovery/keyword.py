@@ -13,7 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from respdi.errors import EmptyInputError, SpecificationError
 from respdi.table import Table
@@ -102,6 +102,9 @@ class KeywordIndex:
         self.values_per_column = values_per_column
         self._docs: Dict[str, Counter] = {}
         self._doc_freq: Counter = Counter()
+        #: ``(stats, table)`` of the last search: :meth:`_term_table` under
+        #: *stats* (``None`` for this index's own statistics).
+        self._terms: Optional[tuple] = None
 
     def add_table(
         self, name: str, table: Table, description: Optional[str] = None
@@ -122,6 +125,7 @@ class KeywordIndex:
         self._docs[name] = counts
         for token in counts:
             self._doc_freq[token] += 1
+        self._terms = None
 
     def remove_table(self, name: str) -> None:
         """Drop *name* and its document-frequency contributions."""
@@ -132,6 +136,7 @@ class KeywordIndex:
             if self._doc_freq[token] <= 0:
                 del self._doc_freq[token]
         del self._docs[name]
+        self._terms = None
 
     def document(self, name: str) -> Counter:
         """The indexed token counts of *name* (for persistence)."""
@@ -145,6 +150,37 @@ class KeywordIndex:
             n_docs=len(self._docs), doc_freq=Counter(self._doc_freq)
         )
 
+    def _term_table(self, stats: Optional[CorpusStats]) -> tuple:
+        """Every document's ``(name, doc_norm, {token: (position, weight, idf)})``.
+
+        Only the query's tokens change a score, so a document's TF-IDF
+        weights and norm are computed once per statistics object and
+        reused while later searches pass the same one (``is``); adding or
+        removing a document drops the table.  Two threads racing on a
+        first search each build the same immutable tuple, and one
+        assignment wins.
+        """
+        cached = self._terms
+        if cached is not None and cached[0] is stats:
+            return cached[1]
+        if stats is None:
+            n_docs, doc_freq = len(self._docs), self._doc_freq
+        else:
+            n_docs, doc_freq = stats.n_docs, stats.doc_freq
+        rows = []
+        for name, doc in self._docs.items():
+            doc_norm = 0.0
+            terms: Dict[str, Tuple[int, float, float]] = {}
+            for position, (token, tf) in enumerate(doc.items()):
+                idf = math.log((1 + n_docs) / (1 + doc_freq[token])) + 1.0
+                weight = (1 + math.log(tf)) * idf
+                doc_norm += weight * weight
+                terms[token] = (position, weight, idf)
+            rows.append((name, doc_norm, terms))
+        table = tuple(rows)
+        self._terms = (stats, table)
+        return table
+
     def search(
         self, query: str, k: int = 10, stats: Optional[CorpusStats] = None
     ) -> List[KeywordHit]:
@@ -153,7 +189,9 @@ class KeywordIndex:
         With *stats*, IDF comes from the given (e.g. merged-over-shards)
         corpus statistics instead of this index's own; each document's
         score is then exactly what a single index over the full corpus
-        would compute for it.
+        would compute for it.  A document's score sums its matched
+        tokens' products in the document's token order, so it is the
+        float the full per-token loop computes.
         """
         if k < 1:
             raise SpecificationError("k must be >= 1")
@@ -162,21 +200,19 @@ class KeywordIndex:
         query_tokens = Counter(tokenize(query))
         if not query_tokens:
             raise SpecificationError("query contains no indexable tokens")
-        if stats is None:
-            n_docs, doc_freq = len(self._docs), self._doc_freq
-        else:
-            n_docs, doc_freq = stats.n_docs, stats.doc_freq
+        query_tf = [
+            (token, 1 + math.log(count)) for token, count in query_tokens.items()
+        ]
         results: List[KeywordHit] = []
-        for name, doc in self._docs.items():
+        for name, doc_norm, terms in self._term_table(stats):
+            matched = sorted(
+                (terms[token], tf_factor)
+                for token, tf_factor in query_tf
+                if token in terms
+            )
             score = 0.0
-            doc_norm = 0.0
-            for token, tf in doc.items():
-                idf = math.log((1 + n_docs) / (1 + doc_freq[token])) + 1.0
-                weight = (1 + math.log(tf)) * idf
-                doc_norm += weight * weight
-                if token in query_tokens:
-                    query_weight = (1 + math.log(query_tokens[token])) * idf
-                    score += weight * query_weight
+            for (_, weight, idf), tf_factor in matched:
+                score += weight * (tf_factor * idf)
             if score > 0 and doc_norm > 0:
                 results.append(KeywordHit(name, score / math.sqrt(doc_norm)))
         results.sort(key=lambda hit: (-hit.score, hit.table_name))

@@ -323,6 +323,8 @@ class DataLakeIndex:
         changed — partitioning is cheap, sketching is not, and the
         signatures are already in hand.
         """
+        if k is not None and k < 1:
+            raise SpecificationError("k must be >= 1")
         if not self._domain_signatures:
             raise EmptyInputError("no tables registered")
         if self._containment is None:

@@ -31,6 +31,7 @@ and the monotonicity is testable per request, not just on average.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 from typing import (
@@ -74,10 +75,19 @@ def canonicalize(value: Optional[object]) -> Optional[str]:
     The transform is idempotent — ``canonicalize(canonicalize(x)) ==
     canonicalize(x)`` — which the property suite enforces; equality of
     canonical forms is therefore a genuine equivalence relation.
+
+    The fuzzy view canonicalizes every key for blocking and again for
+    each scored pair, so the string transform is memoized on
+    ``str(value)``, bounded at 4,096 forms.
     """
     if value is None:
         return None
-    text = str(value)
+    return _canonical_form(str(value))
+
+
+@functools.lru_cache(maxsize=4096)
+def _canonical_form(text: str) -> str:
+    """:func:`canonicalize`'s transform of one string (memoized)."""
     # One pass can expose new decomposables (a casefold may produce a
     # precomposed character); iterate to the fixpoint so the result is
     # idempotent by construction.  Two passes settle every practical

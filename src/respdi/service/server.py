@@ -83,7 +83,7 @@ def build_query(request: Dict[str, Any]) -> Query:
         return ContainmentQuery(
             values=tuple(_require(request, "values")),
             threshold=float(_require(request, "threshold")),
-            k=request.get("k"),
+            k=None if request.get("k") is None else k,
         )
     if op == "match":
         return MatchQuery(

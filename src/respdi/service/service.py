@@ -360,6 +360,8 @@ def _eligible_snapshots(query: Query, vector: ShardVector) -> List[Snapshot]:
             raise EmptyInputError("no columns indexed")
         return eligible
     if query.kind == "containment":
+        if query.k is not None and query.k < 1:
+            raise SpecificationError("k must be >= 1")
         eligible = [s for s in vector.snapshots if s.index.domain_signatures]
         if not eligible:
             raise EmptyInputError("no tables registered")
