@@ -39,9 +39,17 @@ class LazoSketch:
         signature = hasher.signature(values)
         return cls(signature=signature, cardinality=signature.cardinality)
 
+    def check_comparable(self, other: "LazoSketch") -> None:
+        """Raise unless :meth:`estimate` can compare this sketch with
+        *other*: signatures of one hasher and length, both sets non-empty."""
+        self.signature.check_comparable(other.signature)
+        if self.cardinality <= 0 or other.cardinality <= 0:
+            raise SpecificationError("sketch cardinalities must be positive")
+
     def estimate(self, other: "LazoSketch") -> LazoEstimate:
         """Estimate Jaccard/containment between this sketch (query) and
         *other* (candidate)."""
+        self.check_comparable(other)
         jaccard = self.signature.jaccard(other.signature)
         union_bound = self.cardinality + other.cardinality
         intersection = jaccard * union_bound / (1.0 + jaccard) if jaccard > 0 else 0.0
@@ -50,8 +58,6 @@ class LazoSketch:
         intersection = min(
             intersection, float(self.cardinality), float(other.cardinality)
         )
-        if self.cardinality <= 0 or other.cardinality <= 0:
-            raise SpecificationError("sketch cardinalities must be positive")
         return LazoEstimate(
             jaccard=jaccard,
             intersection=intersection,

@@ -53,14 +53,18 @@ class MinHashSignature:
     def __len__(self) -> int:
         return len(self.values)
 
-    def jaccard(self, other: "MinHashSignature") -> float:
-        """Estimated Jaccard similarity with *other*."""
+    def check_comparable(self, other: "MinHashSignature") -> None:
+        """Raise unless *other* comes from the same hasher at the same length."""
         if self.hasher_id != other.hasher_id:
             raise SpecificationError(
                 "signatures come from different MinHashers and are not comparable"
             )
         if len(self.values) != len(other.values):
             raise SpecificationError("signature lengths differ")
+
+    def jaccard(self, other: "MinHashSignature") -> float:
+        """Estimated Jaccard similarity with *other*."""
+        self.check_comparable(other)
         return float((self.values == other.values).mean())
 
 
